@@ -1,10 +1,9 @@
 #include "cmf/common_job.h"
 
-#include <map>
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <unordered_map>
-
-#include <algorithm>
 
 #include "common/error.h"
 #include "common/normkey.h"
@@ -35,41 +34,37 @@ struct CompiledEmission {
   std::vector<CompiledConsumer> consumers;
 };
 
+/// One merged operation or post-job computation, prepared once per job
+/// (exec/operators.h); only the member matching op->kind is bound.
 struct CompiledStage {
   const PlanNode* op = nullptr;
   std::vector<Stage::In> inputs;
   int output_index = -1;
 
-  // Join
-  GroupJoinSpec join_spec;
-  BoundExpr join_residual;
-  std::vector<BoundExpr> join_projections;
-
-  // SP
-  BoundExpr sp_filter;
-  bool sp_has_filter = false;
-  std::vector<BoundExpr> sp_projections;
+  PreparedFilterProject sp;  // SP, and Scan in map-only jobs
+  GroupJoinSpec join;
+  PreparedAgg agg;
+  PreparedSort sort;
 };
 
 struct CompiledJob {
   std::vector<CompiledEmission> emissions;   // grouped by input file below
   std::vector<std::vector<int>> emissions_by_file;
   std::vector<CompiledStage> stages;
-  std::map<int, int> consumer_bit_to_slot;   // bit -> dense slot index
+  /// Consumer bit -> dense slot index (-1 = no consumer); the visibility
+  /// mask bounds bits to [0, 32).
+  std::array<int, 32> consumer_bit_to_slot;
   int num_consumers = 0;
 
   // CombineAgg state
   const PlanNode* combine_agg = nullptr;
-  std::vector<std::size_t> combine_group_idx;  // unused (exprs used instead)
   std::vector<BoundExpr> combine_group_exprs;
   std::vector<BoundExpr> combine_arg_exprs;    // unbound slot for star
   BoundExpr combine_filter;
   bool combine_has_filter = false;
-  std::vector<BoundExpr> combine_projections;  // over internal schema
-  BoundExpr combine_having;                    // over output schema
-  bool combine_has_having = false;
+  PreparedAgg combine_final;  // projections + HAVING of the reduce side
 
-  bool map_only = false;
+  CompiledJob() { consumer_bit_to_slot.fill(-1); }
 };
 
 // ------------------------------ mappers ------------------------------
@@ -184,16 +179,8 @@ class SpMapper final : public Mapper {
   explicit SpMapper(std::shared_ptr<const CompiledJob> cj) : cj_(std::move(cj)) {}
 
   void map(const Row& record, int /*input_tag*/, MapEmitter& out) override {
-    const CompiledStage& st = cj_->stages.at(0);
-    if (st.sp_has_filter && !is_true(st.sp_filter.eval(record))) return;
-    Row value;
-    if (st.sp_projections.empty()) {
-      value = record;
-    } else {
-      value.reserve(st.sp_projections.size());
-      for (const auto& p : st.sp_projections) value.push_back(p.eval(record));
-    }
-    out.emit(Row{}, std::move(value));
+    cj_->stages.at(0).sp.run_row(record, rows_);
+    flush(out);
   }
 
   bool supports_batches() const override { return true; }
@@ -201,49 +188,20 @@ class SpMapper final : public Mapper {
   // Map-only output is written in emit order, so this stays record-major.
   void map_batch(ColumnBatch& batch, int /*input_tag*/,
                  MapEmitter& out) override {
-    const CompiledStage& st = cj_->stages.at(0);
-    const std::size_t n = batch.rows();
-    sel_.clear();
-    if (st.sp_has_filter) {
-      BatchVector fv;
-      if (eval_expr_batch(st.sp_filter, batch, fv)) {
-        collect_passing(fv, n, sel_);
-      } else {
-        for (std::size_t k = 0; k < n; ++k)
-          if (is_true(st.sp_filter.eval(batch.source_row(k))))
-            sel_.push_back(static_cast<std::uint32_t>(k));
-      }
-    } else {
-      for (std::size_t k = 0; k < n; ++k)
-        sel_.push_back(static_cast<std::uint32_t>(k));
-    }
-    if (sel_.empty()) return;
-    if (st.sp_projections.empty()) {
-      for (auto k : sel_) out.emit(Row{}, batch.source_row(k));
-      return;
-    }
-    ColumnBatch selected = batch.select(sel_);
-    cols_.resize(st.sp_projections.size());
-    ok_.resize(st.sp_projections.size());
-    for (std::size_t j = 0; j < st.sp_projections.size(); ++j)
-      ok_[j] = eval_expr_batch(st.sp_projections[j], selected, cols_[j]);
-    for (std::size_t r = 0; r < selected.rows(); ++r) {
-      Row value;
-      value.reserve(st.sp_projections.size());
-      for (std::size_t j = 0; j < st.sp_projections.size(); ++j)
-        value.push_back(ok_[j]
-                            ? cols_[j].value_at(r)
-                            : st.sp_projections[j].eval(selected.source_row(r)));
-      out.emit(Row{}, std::move(value));
-    }
+    cj_->stages.at(0).sp.run_batch(batch, scratch_, rows_);
+    flush(out);
   }
 
  private:
+  void flush(MapEmitter& out) {
+    for (auto& r : rows_) out.emit(Row{}, std::move(r));
+    rows_.clear();
+  }
+
   std::shared_ptr<const CompiledJob> cj_;
   // Per-batch scratch (a mapper instance serves one map task, serially).
-  std::vector<std::uint32_t> sel_;
-  std::vector<BatchVector> cols_;
-  std::vector<char> ok_;
+  PreparedFilterProject::Scratch scratch_;
+  std::vector<Row> rows_;
 };
 
 /// Hash-based map-side partial aggregation (CombineAgg jobs), keyed by
@@ -386,97 +344,108 @@ class CombineAggMapper final : public Mapper {
 
 // ------------------------------ reducers ------------------------------
 
+/// One instance per reduce task. Every stage is prepared in
+/// build_common_job; the task owns only per-group scratch, cleared (not
+/// reallocated) between key groups. Consumers read the shuffled values in
+/// place through pointers.
 class CommonReducer final : public Reducer {
  public:
   explicit CommonReducer(std::shared_ptr<const CompiledJob> cj)
-      : cj_(std::move(cj)) {}
+      : cj_(std::move(cj)),
+        consumer_rows_(static_cast<std::size_t>(cj_->num_consumers)),
+        stage_rows_(cj_->stages.size()),
+        scratch_(cj_->stages.size()) {}
 
   void reduce(const Row& /*key*/, std::span<const KeyValue> values,
               ReduceEmitter& out) override {
     // One pass over the value list, dispatching each value to the merged
     // reducers that can see it (paper Algorithm 1).
-    std::vector<std::vector<Row>> consumer_rows(
-        static_cast<std::size_t>(cj_->num_consumers));
+    for (auto& rows : consumer_rows_) rows.clear();
     for (const auto& kv : values) {
       const CompiledEmission& e =
           cj_->emissions[static_cast<std::size_t>(kv.source)];
-      for (const auto& c : e.consumers) {
-        if (!kv.visible_to(c.bit)) continue;
-        consumer_rows[static_cast<std::size_t>(
-                          cj_->consumer_bit_to_slot.at(c.bit))]
-            .push_back(kv.value);
-      }
+      for (const auto& c : e.consumers)
+        if (kv.visible_to(c.bit))
+          consumer_rows_[slot(c.bit)].push_back(&kv.value);
     }
     // Evaluate merged operations and post-job computations in order.
-    std::vector<std::vector<Row>> stage_rows(cj_->stages.size());
     for (std::size_t s = 0; s < cj_->stages.size(); ++s) {
       const CompiledStage& st = cj_->stages[s];
-      auto input_of = [&](const Stage::In& in) -> const std::vector<Row>& {
-        if (in.from_consumer)
-          return consumer_rows[static_cast<std::size_t>(
-              cj_->consumer_bit_to_slot.at(in.index))];
-        return stage_rows[static_cast<std::size_t>(in.index)];
-      };
+      StageScratch& sc = scratch_[s];
+      std::vector<Row>& rows = stage_rows_[s];
+      rows.clear();
       switch (st.op->kind) {
         case PlanKind::Join:
-          stage_rows[s] =
-              join_group(st.join_spec, input_of(st.inputs[0]), input_of(st.inputs[1]));
+          st.join.run(input(st.inputs[0]), input(st.inputs[1]), sc.join, rows);
           break;
         case PlanKind::Agg:
-          stage_rows[s] = aggregate_rows(*st.op, input_of(st.inputs[0]));
+          st.agg.run(input(st.inputs[0]), sc.agg, rows);
           break;
         case PlanKind::SP:
-          stage_rows[s] = filter_project(
-              input_of(st.inputs[0]), st.sp_has_filter ? &st.sp_filter : nullptr,
-              st.sp_projections);
+          st.sp.run(input(st.inputs[0]), sc.sp, rows);
           break;
-        case PlanKind::Sort: {
-          std::vector<Row> rows = input_of(st.inputs[0]);
-          stage_rows[s] = sort_rows(*st.op, std::move(rows));
+        case PlanKind::Sort:
+          st.sort.run(input(st.inputs[0]), sc.sort, rows);
           break;
-        }
         case PlanKind::Scan:
           throw InternalError("scan cannot be a reduce stage");
       }
       if (st.output_index >= 0)
-        for (auto& r : stage_rows[s]) out.emit_to(st.output_index, std::move(r));
+        for (auto& r : rows) out.emit_to(st.output_index, std::move(r));
     }
   }
 
  private:
+  struct StageScratch {
+    PreparedFilterProject::Scratch sp;
+    GroupJoinSpec::Scratch join;
+    PreparedAgg::Scratch agg;
+    PreparedSort::Scratch sort;
+  };
+
+  std::size_t slot(int bit) const {
+    return static_cast<std::size_t>(
+        cj_->consumer_bit_to_slot[static_cast<std::size_t>(bit)]);
+  }
+  RowRefs input(const Stage::In& in) const {
+    if (in.from_consumer) return consumer_rows_[slot(in.index)];
+    return stage_rows_[static_cast<std::size_t>(in.index)];
+  }
+
   std::shared_ptr<const CompiledJob> cj_;
+  std::vector<std::vector<const Row*>> consumer_rows_;  // by dense slot
+  std::vector<std::vector<Row>> stage_rows_;
+  std::vector<StageScratch> scratch_;
 };
 
 class CombineAggReducer final : public Reducer {
  public:
   explicit CombineAggReducer(std::shared_ptr<const CompiledJob> cj)
-      : cj_(std::move(cj)) {}
+      : cj_(std::move(cj)) {
+    for (const auto& a : cj_->combine_final.aggs()) states_.emplace_back(a);
+  }
 
   void reduce(const Row& key, std::span<const KeyValue> values,
               ReduceEmitter& out) override {
-    const auto& aggs = cj_->combine_agg->aggs;
-    std::vector<AggState> states;
-    for (const auto& a : aggs) states.emplace_back(a);
+    for (auto& s : states_) s.reset();
     for (const auto& kv : values) {
       std::size_t pos = 0;
-      for (auto& s : states) {
+      for (auto& s : states_) {
         const std::size_t n = static_cast<std::size_t>(s.partial_arity());
         s.add_partial(std::span<const Value>(kv.value.data() + pos, n));
         pos += n;
       }
     }
-    Row internal = key;
-    for (const auto& s : states) internal.push_back(s.result());
-    Row o;
-    o.reserve(cj_->combine_projections.size());
-    for (const auto& p : cj_->combine_projections) o.push_back(p.eval(internal));
-    if (cj_->combine_has_having && !is_true(cj_->combine_having.eval(o)))
-      return;
-    out.emit_to(0, std::move(o));
+    cj_->combine_final.finish_group(key, states_, internal_, rows_);
+    for (auto& r : rows_) out.emit_to(0, std::move(r));
+    rows_.clear();
   }
 
  private:
   std::shared_ptr<const CompiledJob> cj_;
+  std::vector<AggState> states_;
+  Row internal_;
+  std::vector<Row> rows_;
 };
 
 }  // namespace
@@ -538,11 +507,7 @@ MRJobSpec build_common_job(const TranslatedJob& job,
       else
         cj->combine_arg_exprs.emplace_back(a.arg, fs);
     }
-    cj->combine_projections = bind_all(agg->projections, agg->agg_internal_schema());
-    if (agg->filter) {
-      cj->combine_having = BoundExpr(agg->filter, agg->output_schema);
-      cj->combine_has_having = true;
-    }
+    cj->combine_final = PreparedAgg(*agg);
     spec.make_mapper = [cj] { return std::make_unique<CombineAggMapper>(cj); };
     spec.make_reducer = [cj] { return std::make_unique<CombineAggReducer>(cj); };
     return spec;
@@ -593,59 +558,33 @@ MRJobSpec build_common_job(const TranslatedJob& job,
     cs.op = st.op;
     cs.inputs = st.inputs;
     cs.output_index = st.output_index;
+    for (const auto& in : st.inputs)
+      check(!in.from_consumer || job.kind == TranslatedJob::Kind::MapOnly ||
+                (in.index >= 0 && in.index < 32 &&
+                 cj->consumer_bit_to_slot[static_cast<std::size_t>(in.index)] >= 0),
+            "stage reads a consumer no emission feeds");
     switch (st.op->kind) {
-      case PlanKind::Join: {
-        const Schema& ls = st.op->children[0]->output_schema;
-        const Schema& rs = st.op->children[1]->output_schema;
-        const Schema combined = Schema::concat(ls, rs);
-        if (st.op->filter) {
-          cs.join_residual = BoundExpr(st.op->filter, combined);
-          cs.join_spec.residual = nullptr;  // fixed after move below
-        }
-        cs.join_projections = bind_all(st.op->projections, combined);
-        cs.join_spec.type = st.op->join_type;
-        cs.join_spec.left_width = ls.size();
-        cs.join_spec.right_width = rs.size();
-        for (std::size_t i = 0; i < st.op->left_keys.size(); ++i) {
-          cs.join_spec.left_key_idx.push_back(ls.index_of(st.op->left_keys[i]));
-          cs.join_spec.right_key_idx.push_back(rs.index_of(st.op->right_keys[i]));
-        }
+      case PlanKind::Join:
+        cs.join = GroupJoinSpec(*st.op);
         break;
-      }
-      case PlanKind::SP: {
-        const Schema& child = st.op->children[0]->output_schema;
-        if (st.op->filter) {
-          cs.sp_filter = BoundExpr(st.op->filter, child);
-          cs.sp_has_filter = true;
-        }
-        cs.sp_projections = bind_all(st.op->projections, child);
+      case PlanKind::SP:
+        cs.sp = PreparedFilterProject(*st.op, st.op->children[0]->output_schema);
         break;
-      }
       case PlanKind::Agg:
+        cs.agg = PreparedAgg(*st.op);
+        break;
       case PlanKind::Sort:
-        break;  // evaluated through the plan node directly
-      case PlanKind::Scan: {
+        cs.sort = PreparedSort(*st.op);
+        break;
+      case PlanKind::Scan:
         // Scan stages occur only in map-only scan jobs: selection and
         // projection bind against the base file's schema directly.
         check(job.kind == TranslatedJob::Kind::MapOnly,
               "scan stage outside a map-only job");
-        const Schema& fs = file_schemas.at(0);
-        if (st.op->filter) {
-          cs.sp_filter = BoundExpr(st.op->filter, fs);
-          cs.sp_has_filter = true;
-        }
-        cs.sp_projections = bind_all(st.op->projections, fs);
+        cs.sp = PreparedFilterProject(*st.op, file_schemas.at(0));
         break;
-      }
     }
     cj->stages.push_back(std::move(cs));
-  }
-  // Fix join_spec residual/projection pointers now that stages won't move.
-  for (auto& cs : cj->stages) {
-    if (cs.op->kind == PlanKind::Join) {
-      if (cs.op->filter) cs.join_spec.residual = &cs.join_residual;
-      cs.join_spec.projections = &cs.join_projections;
-    }
   }
 
   if (job.kind == TranslatedJob::Kind::MapOnly) {

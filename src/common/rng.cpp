@@ -16,9 +16,14 @@ std::uint64_t Rng::next() {
 
 std::int64_t Rng::uniform(std::int64_t lo, std::int64_t hi) {
   check(lo <= hi, "Rng::uniform: lo > hi");
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
+  // Unsigned arithmetic throughout: `hi - lo` and `lo + offset` overflow
+  // int64 for ranges wider than INT64_MAX, while the uint64 forms wrap to
+  // the same bits the signed ones give wherever those are defined.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
   if (span == 0) return static_cast<std::int64_t>(next());  // full range
-  return lo + static_cast<std::int64_t>(next() % span);
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) +
+                                   next() % span);
 }
 
 double Rng::uniform01() {

@@ -41,6 +41,11 @@ class AggState {
 
   void merge(const AggState& other);
 
+  /// Back to the freshly-constructed state for the same call, keeping
+  /// the call (and the distinct set's allocator) — lets a per-task
+  /// aggregation reuse its states across key groups.
+  void reset();
+
   Value result() const;
 
   // ---- partial (combiner) serialization ----

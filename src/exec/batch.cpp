@@ -41,18 +41,17 @@ Value ColumnVector::value_at(std::size_t i) const {
   return Value::null();
 }
 
-ColumnBatch::ColumnBatch(std::span<const Row> rows) : rows_(rows) {
-  num_cols_ = rows_.empty() ? 0 : rows_.front().size();
-  for (const Row& r : rows_)
-    if (r.size() != num_cols_) {
+ColumnBatch::ColumnBatch(RowRefs rows) : rows_(rows) {
+  num_cols_ = rows_.empty() ? 0 : rows_[0].size();
+  for (std::size_t i = 0; i < rows_.size(); ++i)
+    if (rows_[i].size() != num_cols_) {
       regular_ = false;
       break;
     }
   cols_.resize(regular_ ? num_cols_ : 0);
 }
 
-ColumnBatch::ColumnBatch(std::span<const Row> rows,
-                         std::vector<std::uint32_t> sel)
+ColumnBatch::ColumnBatch(RowRefs rows, std::vector<std::uint32_t> sel)
     : rows_(rows), sel_(std::move(sel)), has_sel_(true) {
   num_cols_ = sel_.empty() ? 0 : rows_[sel_.front()].size();
   for (const std::uint32_t i : sel_)

@@ -33,6 +33,41 @@
 
 namespace ysmart {
 
+/// Borrowed read-only rows, either contiguous (a table, a stage's output)
+/// or gathered by pointer (the shuffled values one reduce consumer sees,
+/// scattered across a key group's KeyValues). Never owns; the rows must
+/// outlive the view.
+class RowRefs {
+ public:
+  RowRefs() = default;
+  RowRefs(std::span<const Row> rows) : rows_(rows.data()), n_(rows.size()) {}
+  RowRefs(const std::vector<Row>& rows) : RowRefs(std::span<const Row>(rows)) {}
+  RowRefs(std::span<const Row* const> ptrs)
+      : ptrs_(ptrs.data()), n_(ptrs.size()) {}
+  RowRefs(const std::vector<const Row*>& ptrs)
+      : RowRefs(std::span<const Row* const>(ptrs)) {}
+
+  std::size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  const Row& operator[](std::size_t i) const {
+    return ptrs_ ? *ptrs_[i] : rows_[i];
+  }
+  RowRefs subspan(std::size_t offset, std::size_t count) const {
+    RowRefs r = *this;
+    if (ptrs_)
+      r.ptrs_ += offset;
+    else
+      r.rows_ += offset;
+    r.n_ = count;
+    return r;
+  }
+
+ private:
+  const Row* rows_ = nullptr;
+  const Row* const* ptrs_ = nullptr;
+  std::size_t n_ = 0;
+};
+
 /// Current mode (process-wide, default on unless YSMART_VECTORIZED=off).
 bool vectorized_enabled();
 /// Runtime toggle mirroring set_raw_comparator_enabled (benches/tests).
@@ -84,10 +119,10 @@ class ColumnBatch {
   static constexpr std::size_t kBatchRows = 1024;
 
   /// View over `rows` (not owned; must outlive the batch).
-  explicit ColumnBatch(std::span<const Row> rows);
+  explicit ColumnBatch(RowRefs rows);
   /// View over `rows[sel[0]], rows[sel[1]], ...` — the compacted form
   /// the kernels use to evaluate projections on filter survivors only.
-  ColumnBatch(std::span<const Row> rows, std::vector<std::uint32_t> sel);
+  ColumnBatch(RowRefs rows, std::vector<std::uint32_t> sel);
 
   std::size_t rows() const { return has_sel_ ? sel_.size() : rows_.size(); }
   std::size_t columns() const { return num_cols_; }
@@ -113,7 +148,7 @@ class ColumnBatch {
  private:
   void pivot_one(std::size_t c);
 
-  std::span<const Row> rows_;
+  RowRefs rows_;
   std::vector<std::uint32_t> sel_;
   bool has_sel_ = false;
   std::size_t num_cols_ = 0;

@@ -25,20 +25,13 @@ std::vector<Row> run(const PlanPtr& node, const TableSource& tables,
       // positionally.
       const Schema qualified =
           t->schema().qualified(node->alias.empty() ? node->table : node->alias);
-      BoundExpr filter;
-      if (node->filter) filter = BoundExpr(node->filter, qualified);
-      auto projections = bind_all(node->projections, qualified);
-      return filter_project(t->rows(), node->filter ? &filter : nullptr,
-                            projections);
+      return filter_project(PreparedFilterProject(*node, qualified), t->rows());
     }
     case PlanKind::SP: {
       auto in = run(node->children[0], tables, stats);
       stats.rows_processed += in.size();
-      const Schema& child = node->children[0]->output_schema;
-      BoundExpr filter;
-      if (node->filter) filter = BoundExpr(node->filter, child);
-      auto projections = bind_all(node->projections, child);
-      return filter_project(in, node->filter ? &filter : nullptr, projections);
+      return filter_project(
+          PreparedFilterProject(*node, node->children[0]->output_schema), in);
     }
     case PlanKind::Join: {
       auto left = run(node->children[0], tables, stats);
