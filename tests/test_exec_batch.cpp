@@ -268,8 +268,9 @@ TEST(BatchedOperators, FilterProjectMatchesRowPathAndCounters) {
   const Schema schema = test_schema();
   Rng rng(2024);
   const auto rows = random_rows(rng, ColumnBatch::kBatchRows * 2 + 177);
-  BoundExpr filter(parse_expression("a < b and c <> ''"), schema);
-  auto projections = bind_all(
+  PreparedFilterProject fp;
+  fp.filter = BoundExpr(parse_expression("a < b and c <> ''"), schema);
+  fp.projections = bind_all(
       {parse_expression("a + d"), parse_expression("b * 2"),
        parse_expression("m"), parse_expression("c")},
       schema);
@@ -279,13 +280,13 @@ TEST(BatchedOperators, FilterProjectMatchesRowPathAndCounters) {
   std::vector<Row> vec_out;
   {
     ScopedVectorized on(true);
-    vec_out = filter_project(rows, &filter, projections);
+    vec_out = filter_project(fp, rows);
   }
   const auto s1 = prof::thread_snapshot();
   std::vector<Row> row_out;
   {
     ScopedVectorized off(false);
-    row_out = filter_project(rows, &filter, projections);
+    row_out = filter_project(fp, rows);
   }
   const auto s2 = prof::thread_snapshot();
   prof::release_enabled();
