@@ -1,10 +1,12 @@
 // Execution-kernel micro-benchmark: host wall-clock of the map/reduce
-// inner loops — filter, project, grouped aggregate — with the columnar
-// batch kernels (exec/vector_kernels.h) against the per-row
-// std::variant-dispatch path (YSMART_VECTORIZED=off), at three input
-// sizes. Both modes run the identical operators from exec/operators.h
-// over identical rows, so the difference isolates the execution strategy
-// itself.
+// inner loops — filter, project, grouped aggregate — at three input
+// sizes. The `vec` rows run filter and project through the columnar
+// batch kernels (exec/vector_kernels.h), the engine's only path; the
+// `row` rows run the same prepared operator through its row-at-a-time
+// reference, PreparedFilterProject::run_row, over identical rows, so
+// the difference isolates the execution strategy itself. Aggregation
+// has one implementation, so it is timed once per size and its time is
+// part of both rows' totals.
 //
 // The reduce-stage case times the CMF common reducer alone on a merged
 // job with many small key groups: a Q17-shaped self-join of lineitem with
@@ -19,9 +21,7 @@
 // arithmetic projection (price * (1 - discount)) and a grouped
 // sum/avg/count. --json records one schema-conforming record per
 // (size, mode); wall_ms is the phase total, and the simulated metrics
-// come from running an equivalent workload through the engine (identical
-// in both modes — the knob never touches the simulation, pinned by
-// tests/test_robustness.cpp).
+// come from running an equivalent workload through the engine.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -90,26 +90,31 @@ struct PhaseTimes {
   double total_ms() const { return filter_ms + project_ms + agg_ms; }
 };
 
-/// Time one pass of the three operator shapes over `rows` under the
-/// currently-set execution mode.
+/// Filter/project `rows` through the batched operator (`vec`) or through
+/// its row-at-a-time reference.
+std::vector<Row> run_filter_project(const PreparedFilterProject& fp,
+                                    const std::vector<Row>& rows, bool vec) {
+  if (vec) return filter_project(fp, rows);
+  std::vector<Row> out;
+  out.reserve(rows.size());
+  for (const Row& r : rows) fp.run_row(r, out);
+  return out;
+}
+
+/// Time one pass of the filter and project shapes over `rows`.
 PhaseTimes time_phases(const std::vector<Row>& rows,
                        const PreparedFilterProject& filter,
-                       const PreparedFilterProject& project,
-                       const PlanNode& agg) {
+                       const PreparedFilterProject& project, bool vec) {
   PhaseTimes t;
   double t0 = now_ms();
-  const auto filtered = filter_project(filter, rows);
+  const auto filtered = run_filter_project(filter, rows, vec);
   t.filter_ms = now_ms() - t0;
 
   t0 = now_ms();
-  const auto projected = filter_project(project, rows);
+  const auto projected = run_filter_project(project, rows, vec);
   t.project_ms = now_ms() - t0;
 
-  t0 = now_ms();
-  const auto grouped = aggregate_rows(agg, rows);
-  t.agg_ms = now_ms() - t0;
-
-  t.check = filtered.size() + projected.size() + grouped.size();
+  t.check = filtered.size() + projected.size();
   return t;
 }
 
@@ -140,9 +145,11 @@ QueryMetrics engine_metrics(const std::vector<Row>& rows) {
   struct M final : Mapper {
     const BoundExpr* filter;
     const BoundExpr* revenue;
-    void map(const Row& r, int, MapEmitter& e) override {
-      if (!is_true(filter->eval(r))) return;
-      e.emit(Row{r[1]}, Row{revenue->eval(r)});
+    void map(ColumnBatch& b, int, MapEmitter& e) override {
+      for (std::size_t i = 0; i < b.rows(); ++i) {
+        const Row& r = b.source_row(i);
+        if (is_true(filter->eval(r))) e.emit(Row{r[1]}, Row{revenue->eval(r)});
+      }
     }
   };
   struct R final : Reducer {
@@ -202,7 +209,13 @@ class ReduceCase {
       void emit(KeyValue kv) override { kvs.push_back(std::move(kv)); }
     } collect;
     auto mapper = spec_.make_mapper();
-    for (const Row& r : t->rows()) mapper->map(r, 0, collect);
+    const std::span<const Row> split(t->rows());
+    for (std::size_t base = 0; base < split.size();
+         base += ColumnBatch::kBatchRows) {
+      ColumnBatch batch(split.subspan(
+          base, std::min(ColumnBatch::kBatchRows, split.size() - base)));
+      mapper->map(batch, 0, collect);
+    }
     mapper->finish(collect);
     shuffled_ = std::move(collect.kvs);
     std::stable_sort(shuffled_.begin(), shuffled_.end(), kv_less);
@@ -248,7 +261,7 @@ class ReduceCase {
 
 int main(int argc, char** argv) {
   Report report("bench_exec", argc, argv);
-  print_header("Exec kernels: columnar batches vs per-row variant dispatch");
+  print_header("Exec kernels: columnar batches vs the row-at-a-time reference");
 
   constexpr std::size_t kSizes[] = {50'000, 200'000, 800'000};
   constexpr int kReps = 3;  // best-of to damp scheduler noise
@@ -274,20 +287,26 @@ int main(int argc, char** argv) {
   // the aggregation operator itself.
   while (agg->kind != PlanKind::Agg) agg = agg->children.at(0).get();
 
-  const bool saved = vectorized_enabled();
   std::printf("%10s %5s %10s %10s %10s %10s\n", "rows", "mode", "filter ms",
               "project ms", "agg ms", "total ms");
   for (const std::size_t n : kSizes) {
     const auto rows = make_rows(n);
     const QueryMetrics sim = engine_metrics(rows);
+    double agg_ms = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const double t0 = now_ms();
+      const auto grouped = aggregate_rows(*agg, rows);
+      const double ms = now_ms() - t0;
+      if (rep == 0 || ms < agg_ms) agg_ms = ms;
+    }
     PhaseTimes best[2];
     for (const bool vec : {true, false}) {
-      set_vectorized_enabled(vec);
       PhaseTimes& t = best[vec ? 0 : 1];
       for (int rep = 0; rep < kReps; ++rep) {
-        const PhaseTimes cur = time_phases(rows, filter, project, *agg);
+        const PhaseTimes cur = time_phases(rows, filter, project, vec);
         if (rep == 0 || cur.total_ms() < t.total_ms()) t = cur;
       }
+      t.agg_ms = agg_ms;  // one aggregation path, timed once
       std::printf("%10zu %5s %10.2f %10.2f %10.2f %10.2f\n", n,
                   vec ? "vec" : "row", t.filter_ms, t.project_ms, t.agg_ms,
                   t.total_ms());
@@ -298,37 +317,28 @@ int main(int argc, char** argv) {
       std::printf("WARNING: mode outputs disagree (%zu vs %zu)\n",
                   best[0].check, best[1].check);
     std::printf("%10s %5s speedup vec vs row: %.2fx (filter %.2fx, project "
-                "%.2fx, agg %.2fx)\n",
+                "%.2fx)\n",
                 "", "", best[1].total_ms() / best[0].total_ms(),
                 best[1].filter_ms / best[0].filter_ms,
-                best[1].project_ms / best[0].project_ms,
-                best[1].agg_ms / best[0].agg_ms);
+                best[1].project_ms / best[0].project_ms);
   }
 
   std::printf("\nCMF common reducer, merged Agg -> Join job (one reduce task)\n");
-  std::printf("%10s %10s %5s %10s %10s\n", "rows", "key groups", "mode",
-              "reduce ms", "rows out");
+  std::printf("%10s %10s %10s %10s\n", "rows", "key groups", "reduce ms",
+              "rows out");
   for (const std::size_t n : kSizes) {
     const ReduceCase rc(make_rows(n));
-    std::size_t out_rows[2] = {0, 0};
-    for (const bool vec : {true, false}) {
-      set_vectorized_enabled(vec);
-      double best = 0;
-      for (int rep = 0; rep < kReps; ++rep) {
-        const double t0 = now_ms();
-        out_rows[vec ? 0 : 1] = rc.run();
-        const double ms = now_ms() - t0;
-        if (rep == 0 || ms < best) best = ms;
-      }
-      std::printf("%10zu %10zu %5s %10.2f %10zu\n", n, rc.key_groups(),
-                  vec ? "vec" : "row", best, out_rows[vec ? 0 : 1]);
-      report.record("reduce-" + std::to_string(n), vec ? "vec" : "row",
-                    rc.sim(), best);
+    std::size_t out_rows = 0;
+    double best = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const double t0 = now_ms();
+      out_rows = rc.run();
+      const double ms = now_ms() - t0;
+      if (rep == 0 || ms < best) best = ms;
     }
-    if (out_rows[0] != out_rows[1])
-      std::printf("WARNING: mode outputs disagree (%zu vs %zu)\n", out_rows[0],
-                  out_rows[1]);
+    std::printf("%10zu %10zu %10.2f %10zu\n", n, rc.key_groups(), best,
+                out_rows);
+    report.record("reduce-" + std::to_string(n), "ysmart", rc.sim(), best);
   }
-  set_vectorized_enabled(saved);
   return 0;
 }

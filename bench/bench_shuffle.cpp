@@ -1,19 +1,21 @@
 // Shuffle micro-benchmark: host wall-clock of the sort/merge/group path
-// with the raw (memcmp over normalized keys) comparator against the
-// compare_rows fallback (YSMART_RAW_COMPARATOR=off), at three input
-// sizes. Both modes run the identical primitives from mr/shuffle.h, so
-// the difference isolates the comparator itself — the RawComparator
-// optimization this engine borrows from Hadoop.
+// at three input sizes. The `raw` rows run the engine's primitives from
+// mr/shuffle.h (memcmp over normalized keys — the RawComparator
+// optimization this engine borrows from Hadoop); the `off` rows run the
+// cell-by-cell reference over the same runs: std::stable_sort(kv_less),
+// the same k-way heap merge ordered by kv_less, and compare_rows group
+// detection. The difference isolates the comparator itself.
 //
 // The printed table breaks the time into the three phases a reduce-side
 // shuffle performs on the host: map-side bucket sort, k-way merge of the
 // per-map-task runs, and reduce key-group detection. --json records one
 // schema-conforming record per (size, mode); wall_ms is the phase total,
 // and the simulated metrics come from running the same workload through
-// the engine (identical in both modes — the knob never touches the
-// simulation, pinned by tests/test_robustness.cpp).
+// the engine.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <queue>
 #include <span>
 #include <vector>
 
@@ -66,10 +68,43 @@ struct PhaseTimes {
   double total_ms() const { return sort_ms + merge_ms + group_ms; }
 };
 
+/// The reference k-way merge: merge_sorted_runs's heap merge, ordered
+/// by kv_less with ties broken by run index.
+std::vector<KeyValue> reference_merge(std::vector<std::vector<KeyValue>>& runs) {
+  struct Cursor {
+    std::size_t run;
+    std::size_t pos;
+  };
+  auto greater = [&](const Cursor& a, const Cursor& b) {
+    const KeyValue& x = runs[a.run][a.pos];
+    const KeyValue& y = runs[b.run][b.pos];
+    if (kv_less(y, x)) return true;
+    if (kv_less(x, y)) return false;
+    return a.run > b.run;
+  };
+  std::priority_queue<Cursor, std::vector<Cursor>, decltype(greater)> heap(
+      greater);
+  std::size_t total = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    total += runs[r].size();
+    if (!runs[r].empty()) heap.push(Cursor{r, 0});
+  }
+  std::vector<KeyValue> out;
+  out.reserve(total);
+  while (!heap.empty()) {
+    const Cursor c = heap.top();
+    heap.pop();
+    out.push_back(std::move(runs[c.run][c.pos]));
+    if (c.pos + 1 < runs[c.run].size()) heap.push(Cursor{c.run, c.pos + 1});
+  }
+  for (auto& run : runs) run.clear();
+  return out;
+}
+
 /// Time the three shuffle phases over `pairs` split into `num_runs`
-/// map-task runs, under whichever comparator mode is currently set.
+/// map-task runs, on the raw comparator (`raw`) or the reference.
 PhaseTimes time_phases(const std::vector<KeyValue>& pairs,
-                       std::size_t num_runs) {
+                       std::size_t num_runs, bool raw) {
   // Distribute round-robin like blocks across map tasks, then finalize
   // each run the way the engine's PartitioningEmitter does.
   std::vector<std::vector<KeyValue>> runs(num_runs);
@@ -83,20 +118,29 @@ PhaseTimes time_phases(const std::vector<KeyValue>& pairs,
 
   PhaseTimes t;
   double t0 = now_ms();
-  for (auto& run : runs) sort_map_bucket(run);
+  for (auto& run : runs) {
+    if (raw)
+      sort_map_bucket(run);
+    else
+      std::stable_sort(run.begin(), run.end(), kv_less);
+  }
   t.sort_ms = now_ms() - t0;
 
   std::vector<std::vector<KeyValue>*> run_ptrs;
   for (auto& run : runs) run_ptrs.push_back(&run);
   t0 = now_ms();
-  std::vector<KeyValue> merged = merge_sorted_runs(run_ptrs);
+  std::vector<KeyValue> merged =
+      raw ? merge_sorted_runs(run_ptrs) : reference_merge(runs);
   t.merge_ms = now_ms() - t0;
 
+  auto same_key = [raw](const KeyValue& a, const KeyValue& b) {
+    return raw ? same_shuffle_key(a, b) : compare_rows(a.key, b.key) == 0;
+  };
   t0 = now_ms();
   std::size_t i = 0;
   while (i < merged.size()) {
     std::size_t j = i + 1;
-    while (j < merged.size() && same_shuffle_key(merged[i], merged[j])) ++j;
+    while (j < merged.size() && same_key(merged[i], merged[j])) ++j;
     ++t.groups;
     i = j;
   }
@@ -105,7 +149,7 @@ PhaseTimes time_phases(const std::vector<KeyValue>& pairs,
 }
 
 /// Run the equivalent count-per-key job through the engine so the JSON
-/// record carries honest simulated metrics (mode-independent).
+/// record carries honest simulated metrics.
 QueryMetrics engine_metrics(std::size_t n) {
   Schema in;
   in.add("region", ValueType::String);
@@ -128,8 +172,9 @@ QueryMetrics engine_metrics(std::size_t n) {
   out.add("n", ValueType::Int);
   spec.outputs = {{"/out", out}};
   struct M final : Mapper {
-    void map(const Row& r, int, MapEmitter& e) override {
-      e.emit(r, Row{Value{1}});
+    void map(ColumnBatch& b, int, MapEmitter& e) override {
+      for (std::size_t i = 0; i < b.rows(); ++i)
+        e.emit(b.source_row(i), Row{Value{1}});
     }
   };
   struct R final : Reducer {
@@ -152,13 +197,12 @@ QueryMetrics engine_metrics(std::size_t n) {
 
 int main(int argc, char** argv) {
   Report report("bench_shuffle", argc, argv);
-  print_header("Shuffle sort/merge/group: raw comparator vs compare_rows");
+  print_header("Shuffle sort/merge/group: raw comparator vs the kv_less reference");
 
   constexpr std::size_t kSizes[] = {50'000, 200'000, 800'000};
   constexpr std::size_t kRuns = 16;  // simulated map tasks per size
   constexpr int kReps = 3;           // best-of to damp scheduler noise
 
-  const bool saved = raw_comparator_enabled();
   std::printf("%10s %6s %10s %10s %10s %10s %9s\n", "pairs", "mode",
               "sort ms", "merge ms", "group ms", "total ms", "groups");
   for (const std::size_t n : kSizes) {
@@ -166,10 +210,9 @@ int main(int argc, char** argv) {
     const QueryMetrics sim = engine_metrics(n);
     PhaseTimes best[2];
     for (const bool raw : {true, false}) {
-      set_raw_comparator_enabled(raw);
       PhaseTimes& t = best[raw ? 0 : 1];
       for (int rep = 0; rep < kReps; ++rep) {
-        const PhaseTimes cur = time_phases(pairs, kRuns);
+        const PhaseTimes cur = time_phases(pairs, kRuns, raw);
         if (rep == 0 || cur.total_ms() < t.total_ms()) t = cur;
       }
       std::printf("%10zu %6s %10.2f %10.2f %10.2f %10.2f %9zu\n", n,
@@ -181,6 +224,5 @@ int main(int argc, char** argv) {
     std::printf("%10s %6s speedup raw vs off: %.2fx\n", "", "",
                 best[1].total_ms() / best[0].total_ms());
   }
-  set_raw_comparator_enabled(saved);
   return 0;
 }

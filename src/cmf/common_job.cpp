@@ -73,46 +73,17 @@ class CommonMapper final : public Mapper {
  public:
   explicit CommonMapper(std::shared_ptr<const CompiledJob> cj) : cj_(std::move(cj)) {}
 
-  void map(const Row& record, int input_tag, MapEmitter& out) override {
-    for (int ei : cj_->emissions_by_file[static_cast<std::size_t>(input_tag)]) {
-      const CompiledEmission& e = cj_->emissions[static_cast<std::size_t>(ei)];
-      std::uint32_t exclude = 0;
-      bool any_visible = false;
-      for (const auto& c : e.consumers) {
-        const bool pass = !c.has_filter || is_true(c.filter.eval(record));
-        if (pass)
-          any_visible = true;
-        else
-          exclude |= (1u << c.bit);
-      }
-      if (!any_visible) continue;
-      Row key;
-      key.reserve(e.keys.size());
-      for (const auto& k : e.keys) key.push_back(k.eval(record));
-      Row value;
-      value.reserve(e.values.size());
-      for (const auto& v : e.values) value.push_back(v.eval(record));
-      out.emit(std::move(key), std::move(value),
-               static_cast<std::uint8_t>(e.source_tag), exclude);
-    }
-  }
-
-  bool supports_batches() const override { return true; }
-
-  // Emission-major batch version of map(). The per-record path emits
-  // record-major; flipping the nesting is shuffle-invisible because every
-  // emission has a unique source tag and the map-side sort orders by
-  // (key, source, seq) — within one (key, source) run the records keep
-  // their relative order either way.
-  void map_batch(ColumnBatch& batch, int input_tag, MapEmitter& out) override {
+  // Emission-major: each emission runs its filters and key/value
+  // expressions over the whole batch before the next emission starts.
+  // Every emission has a unique source tag, so within one (key, source)
+  // run of the map-side sort the records still keep record order.
+  void map(ColumnBatch& batch, int input_tag, MapEmitter& out) override {
     const std::size_t n = batch.rows();
     for (int ei : cj_->emissions_by_file[static_cast<std::size_t>(input_tag)]) {
       const CompiledEmission& e = cj_->emissions[static_cast<std::size_t>(ei)];
       if (e.consumers.empty()) continue;  // nothing is ever visible
-      // Consumer visibility over the whole batch. The scalar path
-      // evaluates every consumer filter for every record (no
-      // short-circuit), so evaluating each filter over the full batch
-      // counts kRowsEvaluated identically.
+      // Consumer visibility over the whole batch: every consumer filter
+      // is evaluated for every record (no short-circuit).
       exclude_.assign(n, 0);
       std::uint32_t full_mask = 0;
       for (const auto& c : e.consumers) {
@@ -134,8 +105,7 @@ class CommonMapper final : public Mapper {
         if (exclude_[k] != full_mask)
           sel_.push_back(static_cast<std::uint32_t>(k));
       if (sel_.empty()) continue;
-      // Key/value expressions run only over the visible records, exactly
-      // like the scalar path.
+      // Key/value expressions run only over the visible records.
       ColumnBatch selected = batch.select(sel_);
       key_cols_.resize(e.keys.size());
       key_ok_.resize(e.keys.size());
@@ -178,26 +148,14 @@ class SpMapper final : public Mapper {
  public:
   explicit SpMapper(std::shared_ptr<const CompiledJob> cj) : cj_(std::move(cj)) {}
 
-  void map(const Row& record, int /*input_tag*/, MapEmitter& out) override {
-    cj_->stages.at(0).sp.run_row(record, rows_);
-    flush(out);
-  }
-
-  bool supports_batches() const override { return true; }
-
   // Map-only output is written in emit order, so this stays record-major.
-  void map_batch(ColumnBatch& batch, int /*input_tag*/,
-                 MapEmitter& out) override {
+  void map(ColumnBatch& batch, int /*input_tag*/, MapEmitter& out) override {
     cj_->stages.at(0).sp.run_batch(batch, scratch_, rows_);
-    flush(out);
-  }
-
- private:
-  void flush(MapEmitter& out) {
     for (auto& r : rows_) out.emit(Row{}, std::move(r));
     rows_.clear();
   }
 
+ private:
   std::shared_ptr<const CompiledJob> cj_;
   // Per-batch scratch (a mapper instance serves one map task, serially).
   PreparedFilterProject::Scratch scratch_;
@@ -214,40 +172,13 @@ class CombineAggMapper final : public Mapper {
   explicit CombineAggMapper(std::shared_ptr<const CompiledJob> cj)
       : cj_(std::move(cj)) {}
 
-  void map(const Row& record, int /*input_tag*/, MapEmitter& /*out*/) override {
-    if (cj_->combine_has_filter && !is_true(cj_->combine_filter.eval(record)))
-      return;
-    Row key;
-    key.reserve(cj_->combine_group_exprs.size());
-    for (const auto& g : cj_->combine_group_exprs) key.push_back(g.eval(record));
-    norm_scratch_.clear();
-    for (const auto& v : key) append_norm_key(v, norm_scratch_);
-    auto it = groups_.find(norm_scratch_);
-    if (it == groups_.end()) {
-      Group g;
-      g.key = std::move(key);
-      for (const auto& a : cj_->combine_agg->aggs) g.states.emplace_back(a);
-      it = groups_.emplace(norm_scratch_, std::move(g)).first;
-    }
-    const auto& aggs = cj_->combine_agg->aggs;
-    for (std::size_t i = 0; i < aggs.size(); ++i) {
-      if (aggs[i].star)
-        it->second.states[i].add(Value{std::int64_t{1}});
-      else
-        it->second.states[i].add(cj_->combine_arg_exprs[i].eval(record));
-    }
-  }
-
-  bool supports_batches() const override { return true; }
-
-  // Batch version: filter, group-key and aggregate-argument expressions
-  // run as kernels over the (selected) batch; the per-record loop only
-  // builds keys, normalizes them (same one append_norm_key per cell —
-  // kCellsEncoded parity) and feeds the typed aggregate adds. Emission
-  // happens in finish(), so record order is irrelevant here beyond
-  // keep-first min/max tie-breaks, which the typed adds preserve.
-  void map_batch(ColumnBatch& batch, int /*input_tag*/,
-                 MapEmitter& /*out*/) override {
+  // Filter, group-key and aggregate-argument expressions run as kernels
+  // over the (selected) batch; the per-record loop only builds keys,
+  // normalizes them (one append_norm_key per cell) and feeds the typed
+  // aggregate adds. Emission happens in finish(), so record order is
+  // irrelevant here beyond keep-first min/max tie-breaks, which the
+  // typed adds preserve.
+  void map(ColumnBatch& batch, int /*input_tag*/, MapEmitter& /*out*/) override {
     const std::size_t n = batch.rows();
     sel_.clear();
     if (cj_->combine_has_filter) {

@@ -18,6 +18,17 @@ namespace ysmart {
 
 enum class ValueType { Null, Int, Double, String };
 
+/// int64 `+`, `-` or `*` (`op` is '+', '-' or '*') with two's-complement
+/// wraparound. Computed in uint64_t, so overflow is defined instead of
+/// undefined behaviour, and every int64 arithmetic site — the row
+/// evaluator, the batch kernels and SUM accumulation — gives the same
+/// bits. Unary minus is int64_wrap('-', 0, x).
+constexpr std::int64_t int64_wrap(char op, std::int64_t a, std::int64_t b) {
+  const auto x = static_cast<std::uint64_t>(a);
+  const auto y = static_cast<std::uint64_t>(b);
+  return static_cast<std::int64_t>(op == '+' ? x + y : op == '-' ? x - y : x * y);
+}
+
 /// Human-readable name of a ValueType ("NULL", "INT", ...).
 const char* to_string(ValueType t);
 

@@ -1,18 +1,10 @@
 #include "exec/batch.h"
 
-#include <atomic>
-
-#include "common/env.h"
 #include "common/error.h"
 
 namespace ysmart {
 
 namespace {
-
-std::atomic<bool>& vectorized_flag() {
-  static std::atomic<bool> flag{env_flag("YSMART_VECTORIZED").value_or(true)};
-  return flag;
-}
 
 const std::string& empty_string() {
   static const std::string empty;
@@ -20,14 +12,6 @@ const std::string& empty_string() {
 }
 
 }  // namespace
-
-bool vectorized_enabled() {
-  return vectorized_flag().load(std::memory_order_relaxed);
-}
-
-void set_vectorized_enabled(bool on) {
-  vectorized_flag().store(on, std::memory_order_relaxed);
-}
 
 Value ColumnVector::value_at(std::size_t i) const {
   if (is_null(i)) return Value::null();

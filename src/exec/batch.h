@@ -18,10 +18,10 @@
 // doubles (NaN payloads, -0.0), int64s beyond 2^53 and embedded-NUL
 // strings all survive (pinned by tests/test_exec_batch.cpp).
 //
-// The whole path sits behind the YSMART_VECTORIZED escape hatch
-// (default on), mirroring YSMART_RAW_COMPARATOR: the knob may only move
-// host wall-clock, never simulated metrics, results or the journal
-// (pinned by tests/test_robustness.cpp).
+// This is the only map path: the engine feeds every split to its mapper
+// as batches. The row-at-a-time references it must match cell-for-cell
+// are BoundExpr::eval per row and PreparedFilterProject::run_row
+// (pinned by tests/test_exec_batch.cpp); refdb checks whole queries.
 #pragma once
 
 #include <cstdint>
@@ -67,11 +67,6 @@ class RowRefs {
   const Row* const* ptrs_ = nullptr;
   std::size_t n_ = 0;
 };
-
-/// Current mode (process-wide, default on unless YSMART_VECTORIZED=off).
-bool vectorized_enabled();
-/// Runtime toggle mirroring set_raw_comparator_enabled (benches/tests).
-void set_vectorized_enabled(bool on);
 
 /// Physical type of one batch column. Null = every cell NULL (type never
 /// fixed); Mixed = conflicting non-null cell types, kernels fall back.

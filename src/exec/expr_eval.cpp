@@ -92,7 +92,8 @@ Value BoundExpr::eval_node(const Node& n, const Row& row) {
       }
       if (n.op == "-") {
         if (v.is_null()) return Value::null();
-        if (v.type() == ValueType::Int) return Value{-v.as_int()};
+        if (v.type() == ValueType::Int)
+          return Value{int64_wrap('-', 0, v.as_int())};
         return Value{-v.numeric()};
       }
       throw ExecError("unknown unary operator: " + n.op);
@@ -118,10 +119,7 @@ Value BoundExpr::eval_node(const Node& n, const Row& row) {
       if (a.is_null() || b.is_null()) return Value::null();
       if (n.op == "+" || n.op == "-" || n.op == "*") {
         if (both_int(a, b)) {
-          const std::int64_t x = a.as_int(), y = b.as_int();
-          if (n.op == "+") return Value{x + y};
-          if (n.op == "-") return Value{x - y};
-          return Value{x * y};
+          return Value{int64_wrap(n.op[0], a.as_int(), b.as_int())};
         }
         const double x = a.numeric(), y = b.numeric();
         if (n.op == "+") return Value{x + y};

@@ -32,7 +32,7 @@ void PreparedFilterProject::run_row(const Row& r, std::vector<Row>& out) const {
 // Run the filter kernel into a selection vector, then evaluate the
 // projections only over the selected sub-batch. Any non-vectorizable
 // expression falls back to per-row eval for exactly the rows the batch
-// kernel would have covered, so output and counters match the row path
+// kernel would have covered, so output and counters match run_row
 // cell-for-cell.
 void PreparedFilterProject::run_batch(ColumnBatch& batch, Scratch& s,
                                       std::vector<Row>& out) const {
@@ -75,16 +75,11 @@ void PreparedFilterProject::run(RowRefs in, Scratch& s,
                                 std::vector<Row>& out) const {
   prof::count(prof::kOperatorRows, in.size());
   out.reserve(out.size() + in.size());
-  if (vectorized_enabled()) {
-    for (std::size_t base = 0; base < in.size();
-         base += ColumnBatch::kBatchRows) {
-      ColumnBatch batch(
-          in.subspan(base, std::min(ColumnBatch::kBatchRows, in.size() - base)));
-      run_batch(batch, s, out);
-    }
-    return;
+  for (std::size_t base = 0; base < in.size(); base += ColumnBatch::kBatchRows) {
+    ColumnBatch batch(
+        in.subspan(base, std::min(ColumnBatch::kBatchRows, in.size() - base)));
+    run_batch(batch, s, out);
   }
-  for (std::size_t i = 0; i < in.size(); ++i) run_row(in[i], out);
 }
 
 // --------------------------------- join ---------------------------------

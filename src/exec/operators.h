@@ -48,9 +48,11 @@ struct PreparedFilterProject {
   };
   /// Appends the surviving, projected rows of `in` to `out`.
   void run(RowRefs in, Scratch& s, std::vector<Row>& out) const;
-  /// One batch / one row of run(), without the operator-row count (the
-  /// map-only mapper's paths).
+  /// One batch of run(), without the operator-row count (the map-only
+  /// mapper's path).
   void run_batch(ColumnBatch& batch, Scratch& s, std::vector<Row>& out) const;
+  /// Row-at-a-time reference for one row: the executable specification
+  /// that tests and bench_exec pin run()/run_batch() against.
   void run_row(const Row& r, std::vector<Row>& out) const;
 };
 

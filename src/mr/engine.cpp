@@ -111,23 +111,13 @@ MapTaskResult run_map_task(const MRJobSpec& spec, const MapTaskDef& task,
   auto mapper = spec.make_mapper();
   check(mapper != nullptr, "job has no mapper");
   const auto& rows = task.file->table->rows();
-  const std::size_t end = task.block->first_row + task.block->row_count;
-  if (vectorized_enabled() && mapper->supports_batches()) {
-    // Feed the split as column batches; map_batch is contractually
-    // emission-identical to per-record map(), so the shuffle (and thus
-    // the simulated metrics) cannot tell the modes apart.
-    const std::span<const Row> split(rows.data() + task.block->first_row,
-                                     task.block->row_count);
-    for (std::size_t base = 0; base < split.size();
-         base += ColumnBatch::kBatchRows) {
-      const std::size_t n =
-          std::min(ColumnBatch::kBatchRows, split.size() - base);
-      ColumnBatch batch(split.subspan(base, n));
-      mapper->map_batch(batch, task.input_tag, emitter);
-    }
-  } else {
-    for (std::size_t i = task.block->first_row; i < end; ++i)
-      mapper->map(rows[i], task.input_tag, emitter);
+  const std::span<const Row> split(rows.data() + task.block->first_row,
+                                   task.block->row_count);
+  for (std::size_t base = 0; base < split.size();
+       base += ColumnBatch::kBatchRows) {
+    const std::size_t n = std::min(ColumnBatch::kBatchRows, split.size() - base);
+    ColumnBatch batch(split.subspan(base, n));
+    mapper->map(batch, task.input_tag, emitter);
   }
   mapper->finish(emitter);
 

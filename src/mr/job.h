@@ -60,29 +60,17 @@ class Mapper {
  public:
   virtual ~Mapper() = default;
 
-  /// Called once per input record; `input_tag` is the tag of the JobInput
-  /// the record came from.
-  virtual void map(const Row& record, int input_tag, MapEmitter& out) = 0;
+  /// Called once per batch of input records, in split order; the engine
+  /// slices every split into ColumnBatch chunks of kBatchRows rows.
+  /// `input_tag` is the tag of the JobInput the records came from. The
+  /// shuffle sorts by (key, source, seq), seq being the emit index, so
+  /// pairs with equal key and source must be emitted in record order.
+  virtual void map(ColumnBatch& batch, int input_tag, MapEmitter& out) = 0;
 
   /// Called once at the end of each map task; lets mappers that buffer
   /// state (e.g. hash-based map-side partial aggregation, Hive's
   /// optimization noted in the paper's footnote 2) flush their output.
   virtual void finish(MapEmitter& /*out*/) {}
-
-  /// Mappers that implement map_batch() return true here; the engine then
-  /// feeds the split as ColumnBatch chunks (when YSMART_VECTORIZED is on)
-  /// instead of one map() call per record.
-  virtual bool supports_batches() const { return false; }
-
-  /// Process one batch. Must emit exactly what per-record map() calls
-  /// over batch.source_row(0..rows) would emit, in the same order — the
-  /// shuffle sorts by (key, source, seq), so emission order feeds the
-  /// tie-break. The default unrolls to map() so overriding
-  /// supports_batches() alone is safe.
-  virtual void map_batch(ColumnBatch& batch, int input_tag, MapEmitter& out) {
-    for (std::size_t i = 0; i < batch.rows(); ++i)
-      map(batch.source_row(i), input_tag, out);
-  }
 };
 
 class Reducer {

@@ -1,20 +1,13 @@
 #include "mr/shuffle.h"
 
 #include <algorithm>
-#include <atomic>
 #include <queue>
 
-#include "common/env.h"
 #include "common/prof_counters.h"
 
 namespace ysmart {
 
 namespace {
-
-std::atomic<bool>& raw_flag() {
-  static std::atomic<bool> flag{env_flag("YSMART_RAW_COMPARATOR").value_or(true)};
-  return flag;
-}
 
 /// Three-way (key, source) comparison via the cached normalized key.
 inline int raw_compare(const KeyValue& a, const KeyValue& b) {
@@ -24,17 +17,19 @@ inline int raw_compare(const KeyValue& a, const KeyValue& b) {
   return static_cast<int>(a.source) - static_cast<int>(b.source);
 }
 
-/// Same ordering through the slow cell-by-cell path.
-inline int slow_compare(const KeyValue& a, const KeyValue& b) {
-  const auto c = compare_rows(a.key, b.key);
-  if (c < 0) return -1;
-  if (c > 0) return 1;
-  return static_cast<int>(a.source) - static_cast<int>(b.source);
+}  // namespace
+
+void sort_map_bucket(std::vector<KeyValue>& bucket) {
+  std::sort(bucket.begin(), bucket.end(),
+            [](const KeyValue& a, const KeyValue& b) {
+              const int c = raw_compare(a, b);
+              if (c != 0) return c < 0;
+              return a.seq < b.seq;
+            });
 }
 
-template <typename Compare3>
-std::vector<KeyValue> merge_impl(
-    const std::vector<std::vector<KeyValue>*>& runs, Compare3 cmp) {
+std::vector<KeyValue> merge_sorted_runs(
+    const std::vector<std::vector<KeyValue>*>& runs) {
   struct Cursor {
     std::size_t run;
     std::size_t pos;
@@ -56,7 +51,7 @@ std::vector<KeyValue> merge_impl(
 
   // Min-heap: smallest (key, source, run index) on top.
   auto greater = [&](const Cursor& a, const Cursor& b) {
-    const int c = cmp((*runs[a.run])[a.pos], (*runs[b.run])[b.pos]);
+    const int c = raw_compare((*runs[a.run])[a.pos], (*runs[b.run])[b.pos]);
     if (c != 0) return c > 0;
     return a.run > b.run;
   };
@@ -72,43 +67,6 @@ std::vector<KeyValue> merge_impl(
   }
   for (std::size_t r : live) runs[r]->clear();
   return out;
-}
-
-}  // namespace
-
-bool raw_comparator_enabled() {
-  return raw_flag().load(std::memory_order_relaxed);
-}
-
-void set_raw_comparator_enabled(bool on) {
-  raw_flag().store(on, std::memory_order_relaxed);
-}
-
-void sort_map_bucket(std::vector<KeyValue>& bucket) {
-  if (raw_comparator_enabled()) {
-    std::sort(bucket.begin(), bucket.end(),
-              [](const KeyValue& a, const KeyValue& b) {
-                const int c = raw_compare(a, b);
-                if (c != 0) return c < 0;
-                return a.seq < b.seq;
-              });
-  } else {
-    std::sort(bucket.begin(), bucket.end(),
-              [](const KeyValue& a, const KeyValue& b) {
-                const int c = slow_compare(a, b);
-                if (c != 0) return c < 0;
-                return a.seq < b.seq;
-              });
-  }
-}
-
-std::vector<KeyValue> merge_sorted_runs(
-    const std::vector<std::vector<KeyValue>*>& runs) {
-  if (raw_comparator_enabled())
-    return merge_impl(
-        runs, [](const KeyValue& a, const KeyValue& b) { return raw_compare(a, b); });
-  return merge_impl(
-      runs, [](const KeyValue& a, const KeyValue& b) { return slow_compare(a, b); });
 }
 
 }  // namespace ysmart

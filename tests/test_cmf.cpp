@@ -11,7 +11,6 @@
 
 #include "cmf/common_job.h"
 #include "common/error.h"
-#include "exec/batch.h"
 #include "exec/operators.h"
 #include "mr/engine.h"
 #include "plan/builder.h"
@@ -340,24 +339,20 @@ std::vector<std::vector<Row>> per_group_reference(const MergedJob& m,
   return outputs;
 }
 
-class CmfStateResetTest : public ::testing::TestWithParam<bool> {
+class CmfStateResetTest : public ::testing::Test {
  protected:
   CmfStateResetTest()
       : dfs_(2, 512, 1), engine_(dfs_, ClusterConfig::small_local(1.0)) {
     catalog_.register_table("u", kvw_schema());
     table_ = kvw_table();
     dfs_.write("/tables/u", table_);
-    saved_vec_ = vectorized_enabled();
-    set_vectorized_enabled(GetParam());
   }
-  ~CmfStateResetTest() override { set_vectorized_enabled(saved_vec_); }
 
   Dfs dfs_;
   Engine engine_;
   Catalog catalog_;
   std::shared_ptr<Table> table_;
   TranslatorProfile profile_ = TranslatorProfile::ysmart();
-  bool saved_vec_ = true;
 };
 
 // One reduce partition holds all 41 key groups, so one CommonReducer
@@ -365,7 +360,7 @@ class CmfStateResetTest : public ::testing::TestWithParam<bool> {
 // empty in some groups; the stages cover count(distinct), min/max, avg,
 // HAVING, global aggregation over empty input, LEFT and FULL outer-join
 // padding, a post-job SP and a Sort with LIMIT.
-TEST_P(CmfStateResetTest, CommonReducerMatchesFreshOperatorsPerGroup) {
+TEST_F(CmfStateResetTest, CommonReducerMatchesFreshOperatorsPerGroup) {
   std::vector<PlanPtr> plans;
   plans.push_back(plan_query(
       "SELECT k, count(distinct w) AS dw, min(w) AS mn, max(w) AS mx, "
@@ -448,7 +443,7 @@ TEST_P(CmfStateResetTest, CommonReducerMatchesFreshOperatorsPerGroup) {
 
 // The CombineAgg reducer reuses one state vector for every key group; it
 // must match a one-shot aggregation of the whole table row for row.
-TEST_P(CmfStateResetTest, CombineAggReducerMatchesOneShotAggregate) {
+TEST_F(CmfStateResetTest, CombineAggReducerMatchesOneShotAggregate) {
   auto agg = plan_query(
       "SELECT k, sum(v) AS s, min(w) AS mn, max(w) AS mx, avg(w) AS aw, "
       "count(w) AS cw, count(*) AS n FROM u GROUP BY k HAVING n > 9",
@@ -477,9 +472,6 @@ TEST_P(CmfStateResetTest, CombineAggReducerMatchesOneShotAggregate) {
   expect_same_rows(dfs_.file("/out/combine-reset").table->rows(), want,
                    "combine");
 }
-
-INSTANTIATE_TEST_SUITE_P(VectorizedOnOff, CmfStateResetTest,
-                         ::testing::Bool());
 
 }  // namespace
 }  // namespace ysmart

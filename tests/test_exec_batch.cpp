@@ -5,9 +5,10 @@
 //     values beyond 2^53, embedded-NUL and empty strings, Mixed columns.
 //   - Every kernel's per-element output is bit-identical to the scalar
 //     BoundExpr::eval reference on the same random data.
-//   - The reconciled dispatch counters (kRowsEvaluated, kAggUpdates)
-//     advance by exactly the same totals through the batched operators as
-//     through the row path.
+//   - Batched filter/project produces exactly the rows of the
+//     PreparedFilterProject::run_row reference, and the reconciled
+//     dispatch counters (kRowsEvaluated, kAggUpdates) advance by exactly
+//     the same totals through both.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,23 +24,10 @@
 #include "exec/batch.h"
 #include "exec/operators.h"
 #include "exec/vector_kernels.h"
-#include "plan/builder.h"
 #include "sql/parser.h"
 
 namespace ysmart {
 namespace {
-
-/// Scoped YSMART_VECTORIZED override that restores the previous setting.
-class ScopedVectorized {
- public:
-  explicit ScopedVectorized(bool on) : prev_(vectorized_enabled()) {
-    set_vectorized_enabled(on);
-  }
-  ~ScopedVectorized() { set_vectorized_enabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 bool bit_identical(const Value& a, const Value& b) {
   if (a.type() != b.type()) return false;
@@ -277,63 +265,25 @@ TEST(BatchedOperators, FilterProjectMatchesRowPathAndCounters) {
 
   prof::acquire_enabled();
   const auto s0 = prof::thread_snapshot();
-  std::vector<Row> vec_out;
-  {
-    ScopedVectorized on(true);
-    vec_out = filter_project(fp, rows);
-  }
+  const std::vector<Row> vec_out = filter_project(fp, rows);
   const auto s1 = prof::thread_snapshot();
   std::vector<Row> row_out;
-  {
-    ScopedVectorized off(false);
-    row_out = filter_project(fp, rows);
-  }
+  for (const Row& r : rows) fp.run_row(r, row_out);
   const auto s2 = prof::thread_snapshot();
   prof::release_enabled();
 
   ASSERT_EQ(vec_out.size(), row_out.size());
   for (std::size_t i = 0; i < vec_out.size(); ++i)
     EXPECT_TRUE(rows_bit_identical(vec_out[i], row_out[i])) << "row " << i;
-  // Reconciled counters must advance identically in both modes.
-  for (int c : {prof::kRowsEvaluated, prof::kAggUpdates, prof::kOperatorRows,
-                prof::kCellsEncoded, prof::kCellsDecoded})
+  // The batch kernels must advance the reconciled counters exactly as
+  // the row-at-a-time reference does.
+  for (int c : {prof::kRowsEvaluated, prof::kAggUpdates, prof::kCellsEncoded,
+                prof::kCellsDecoded})
     EXPECT_EQ(counter_delta(s0, s1, c), counter_delta(s1, s2, c))
         << prof::counter_name(c);
-}
-
-TEST(BatchedOperators, AggregateRowsMatchesRowPathAndCounters) {
-  Catalog cat;
-  cat.register_table("t", test_schema());
-  auto plan = plan_query(
-      "SELECT a, count(*) AS n, sum(b) AS s, avg(d) AS v, min(b) AS lo, "
-      "max(m) AS hi, count(distinct c) AS u FROM t GROUP BY a",
-      cat);
-  Rng rng(31337);
-  const auto rows = random_rows(rng, ColumnBatch::kBatchRows + 321);
-
-  prof::acquire_enabled();
-  const auto s0 = prof::thread_snapshot();
-  std::vector<Row> vec_out;
-  {
-    ScopedVectorized on(true);
-    vec_out = aggregate_rows(*plan, rows);
-  }
-  const auto s1 = prof::thread_snapshot();
-  std::vector<Row> row_out;
-  {
-    ScopedVectorized off(false);
-    row_out = aggregate_rows(*plan, rows);
-  }
-  const auto s2 = prof::thread_snapshot();
-  prof::release_enabled();
-
-  ASSERT_EQ(vec_out.size(), row_out.size());
-  for (std::size_t i = 0; i < vec_out.size(); ++i)
-    EXPECT_TRUE(rows_bit_identical(vec_out[i], row_out[i])) << "row " << i;
-  for (int c : {prof::kRowsEvaluated, prof::kAggUpdates, prof::kOperatorRows,
-                prof::kCellsEncoded, prof::kCellsDecoded})
-    EXPECT_EQ(counter_delta(s0, s1, c), counter_delta(s1, s2, c))
-        << prof::counter_name(c);
+  // Operator rows are counted once per input row by the operator itself.
+  EXPECT_EQ(counter_delta(s0, s1, prof::kOperatorRows), rows.size());
+  EXPECT_EQ(counter_delta(s1, s2, prof::kOperatorRows), 0u);
 }
 
 // Typed aggregate adds must be state-identical to add(Value): feed the

@@ -23,8 +23,9 @@ Schema count_schema() {
 
 class WordMapper final : public Mapper {
  public:
-  void map(const Row& record, int /*tag*/, MapEmitter& out) override {
-    out.emit(Row{record[0]}, Row{Value{1}});
+  void map(ColumnBatch& batch, int /*tag*/, MapEmitter& out) override {
+    for (std::size_t i = 0; i < batch.rows(); ++i)
+      out.emit(Row{batch.source_row(i)[0]}, Row{Value{1}});
   }
 };
 
@@ -114,9 +115,10 @@ TEST_F(EngineTest, DeterministicAcrossRuns) {
 // Input tags distinguish sources in multi-input jobs.
 class TagMapper final : public Mapper {
  public:
-  void map(const Row& record, int tag, MapEmitter& out) override {
-    out.emit(Row{record[0]}, Row{Value{tag}},
-             static_cast<std::uint8_t>(tag));
+  void map(ColumnBatch& batch, int tag, MapEmitter& out) override {
+    for (std::size_t i = 0; i < batch.rows(); ++i)
+      out.emit(Row{batch.source_row(i)[0]}, Row{Value{tag}},
+               static_cast<std::uint8_t>(tag));
   }
 };
 
@@ -154,8 +156,11 @@ TEST_F(EngineTest, MultiInputTagging) {
 // Map-only job: values go straight to the output.
 class PassMapper final : public Mapper {
  public:
-  void map(const Row& record, int /*tag*/, MapEmitter& out) override {
-    if (record[0].as_string() != "drop") out.emit(Row{}, Row{record[0]});
+  void map(ColumnBatch& batch, int /*tag*/, MapEmitter& out) override {
+    for (std::size_t i = 0; i < batch.rows(); ++i) {
+      const Value& w = batch.source_row(i)[0];
+      if (w.as_string() != "drop") out.emit(Row{}, Row{w});
+    }
   }
 };
 
@@ -177,6 +182,47 @@ TEST_F(EngineTest, MapOnlyJob) {
   EXPECT_EQ(m.reduce.output_bytes, 0u);
   EXPECT_EQ(m.reduce_time_s, 0.0);
   EXPECT_GT(m.dfs_write_bytes, 0u);
+}
+
+// A map-only job over one split that spans several column batches: the
+// engine slices the split into kBatchRows chunks, and the output must be
+// the input, row for row, in order — no row lost, duplicated or
+// reordered at a batch boundary.
+class IdentityMapper final : public Mapper {
+ public:
+  void map(ColumnBatch& batch, int /*tag*/, MapEmitter& out) override {
+    for (std::size_t i = 0; i < batch.rows(); ++i)
+      out.emit(Row{}, batch.source_row(i));
+  }
+};
+
+TEST(EngineBatching, MapOnlySplitAcrossBatchBoundaries) {
+  Schema schema;
+  schema.add("i", ValueType::Int);
+  schema.add("word", ValueType::String);
+  auto t = std::make_shared<Table>(schema);
+  const std::size_t n = 2 * ColumnBatch::kBatchRows + 5;
+  for (std::size_t i = 0; i < n; ++i)
+    t->append({Value{static_cast<std::int64_t>(i)},
+               Value{"w" + std::to_string(i)}});
+  Dfs dfs(2, std::uint64_t{1} << 30, 1);  // one block holds the whole input
+  dfs.write("/in", t);
+  ASSERT_EQ(dfs.file("/in").blocks.size(), 1u);
+  Engine engine(dfs, ClusterConfig::small_local(1.0));
+  MRJobSpec spec;
+  spec.name = "identity";
+  spec.inputs = {{"/in", 0}};
+  spec.outputs = {{"/out", schema}};
+  spec.make_mapper = [] { return std::make_unique<IdentityMapper>(); };
+  const auto m = engine.run(spec);
+  EXPECT_FALSE(m.failed);
+  EXPECT_EQ(m.map.tasks, 1u);
+  const auto& in = t->rows();
+  const auto& out = dfs.file("/out").table->rows();
+  ASSERT_EQ(out.size(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(compare_rows(out[i], in[i]), std::strong_ordering::equal)
+        << "row " << i;
 }
 
 // Multi-output reducers write each tagged result to its own file.

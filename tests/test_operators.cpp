@@ -239,58 +239,53 @@ TEST(PreparedOperators, ReusedScratchOverGatheredRowsMatchesOneShot) {
                                              c),
                                  xy());
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const bool saved = vectorized_enabled();
-  for (const bool vec : {true, false}) {
-    set_vectorized_enabled(vec);
-    Rng rng(vec ? 7 : 8);
-    PreparedAgg::Scratch agg_scratch;
-    PreparedFilterProject::Scratch fp_scratch;
-    for (int trial = 0; trial < 60; ++trial) {
-      const int n = static_cast<int>(
-          rng.uniform(0, trial % 7 == 0 ? 2200 : 150));
-      std::vector<Row> rows;
-      for (int i = 0; i < n; ++i) {
-        Value x;
-        switch (trial % 3) {
-          case 0: x = Value{rng.uniform(0, 20)}; break;
-          case 1: x = Value{"k" + std::to_string(rng.uniform(0, 20))}; break;
-          default:
-            x = rng.uniform(0, 9) == 0
-                    ? Value{nan}
-                    : Value{static_cast<double>(rng.uniform(0, 20))};
-        }
-        Value y;
-        if (rng.uniform(0, 9) != 0)
-          y = rng.uniform(0, 1) ? Value{rng.uniform(-9, 9)}
-                                : Value{0.5 * static_cast<double>(rng.uniform(-9, 9))};
-        rows.push_back({x, y});
+  Rng rng(7);
+  PreparedAgg::Scratch agg_scratch;
+  PreparedFilterProject::Scratch fp_scratch;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = static_cast<int>(
+        rng.uniform(0, trial % 7 == 0 ? 2200 : 150));
+    std::vector<Row> rows;
+    for (int i = 0; i < n; ++i) {
+      Value x;
+      switch (trial % 3) {
+        case 0: x = Value{rng.uniform(0, 20)}; break;
+        case 1: x = Value{"k" + std::to_string(rng.uniform(0, 20))}; break;
+        default:
+          x = rng.uniform(0, 9) == 0
+                  ? Value{nan}
+                  : Value{static_cast<double>(rng.uniform(0, 20))};
       }
-      std::vector<const Row*> gathered;
-      for (const auto& r : rows) gathered.push_back(&r);
-      for (std::size_t i = gathered.size(); i > 1; --i)
-        std::swap(gathered[i - 1],
-                  gathered[static_cast<std::size_t>(
-                      rng.uniform(0, static_cast<std::int64_t>(i) - 1))]);
-      std::vector<Row> copy;
-      for (const Row* r : gathered) copy.push_back(*r);
-
-      const auto want_agg = aggregate_rows(*agg_plan, copy);
-      std::vector<Row> got_agg;
-      agg.run(gathered, agg_scratch, got_agg);
-      ASSERT_EQ(got_agg.size(), want_agg.size()) << "trial " << trial;
-      for (std::size_t i = 0; i < got_agg.size(); ++i)
-        ASSERT_TRUE(same_bits(got_agg[i], want_agg[i]))
-            << "trial " << trial << " group " << i;
-
-      const auto want_fp = filter_project(fp, copy);
-      std::vector<Row> got_fp;
-      fp.run(gathered, fp_scratch, got_fp);
-      ASSERT_EQ(got_fp.size(), want_fp.size()) << "trial " << trial;
-      for (std::size_t i = 0; i < got_fp.size(); ++i)
-        ASSERT_TRUE(same_bits(got_fp[i], want_fp[i])) << "trial " << trial;
+      Value y;
+      if (rng.uniform(0, 9) != 0)
+        y = rng.uniform(0, 1) ? Value{rng.uniform(-9, 9)}
+                              : Value{0.5 * static_cast<double>(rng.uniform(-9, 9))};
+      rows.push_back({x, y});
     }
+    std::vector<const Row*> gathered;
+    for (const auto& r : rows) gathered.push_back(&r);
+    for (std::size_t i = gathered.size(); i > 1; --i)
+      std::swap(gathered[i - 1],
+                gathered[static_cast<std::size_t>(
+                    rng.uniform(0, static_cast<std::int64_t>(i) - 1))]);
+    std::vector<Row> copy;
+    for (const Row* r : gathered) copy.push_back(*r);
+
+    const auto want_agg = aggregate_rows(*agg_plan, copy);
+    std::vector<Row> got_agg;
+    agg.run(gathered, agg_scratch, got_agg);
+    ASSERT_EQ(got_agg.size(), want_agg.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got_agg.size(); ++i)
+      ASSERT_TRUE(same_bits(got_agg[i], want_agg[i]))
+          << "trial " << trial << " group " << i;
+
+    const auto want_fp = filter_project(fp, copy);
+    std::vector<Row> got_fp;
+    fp.run(gathered, fp_scratch, got_fp);
+    ASSERT_EQ(got_fp.size(), want_fp.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got_fp.size(); ++i)
+      ASSERT_TRUE(same_bits(got_fp[i], want_fp[i])) << "trial " << trial;
   }
-  set_vectorized_enabled(saved);
 }
 
 // sort_rows evaluates each key once per row; the order must be exactly

@@ -43,8 +43,9 @@ MRJobSpec counting_spec() {
   out.add("n", ValueType::Int);
   spec.outputs = {{"/out", out}};
   struct M final : Mapper {
-    void map(const Row& r, int, MapEmitter& e) override {
-      e.emit(Row{r[0]}, Row{Value{1}});
+    void map(ColumnBatch& b, int, MapEmitter& e) override {
+      for (std::size_t i = 0; i < b.rows(); ++i)
+        e.emit(Row{b.source_row(i)[0]}, Row{Value{1}});
     }
   };
   struct R final : Reducer {

@@ -15,7 +15,6 @@
 #include "data/tpch_gen.h"
 #include "exec/batch.h"
 #include "mr/engine.h"
-#include "mr/shuffle.h"
 #include "obs/analyzer.h"
 #include "obs/cluster_view.h"
 #include "obs/obs.h"
@@ -139,8 +138,9 @@ TEST(ReduceScaling, TargetTasksReportedAndTimeScales) {
     out.add("n", ValueType::Int);
     spec.outputs = {{"/out", out}};
     struct M final : Mapper {
-      void map(const Row& r, int, MapEmitter& e) override {
-        e.emit(Row{r[0]}, Row{Value{1}});
+      void map(ColumnBatch& b, int, MapEmitter& e) override {
+        for (std::size_t i = 0; i < b.rows(); ++i)
+          e.emit(Row{b.source_row(i)[0]}, Row{Value{1}});
       }
     };
     struct R final : Reducer {
@@ -183,8 +183,9 @@ MRJobSpec counting_spec() {
   out.add("n", ValueType::Int);
   spec.outputs = {{"/out", out}};
   struct M final : Mapper {
-    void map(const Row& r, int, MapEmitter& e) override {
-      e.emit(Row{r[0]}, Row{Value{1}});
+    void map(ColumnBatch& b, int, MapEmitter& e) override {
+      for (std::size_t i = 0; i < b.rows(); ++i)
+        e.emit(Row{b.source_row(i)[0]}, Row{Value{1}});
     }
   };
   struct R final : Reducer {
@@ -495,14 +496,14 @@ TEST(PoolInvariance, FullObservabilityDoesNotPerturbQueryRuns) {
   EXPECT_GT(profiled.profiler.process_cpu_ns(), 0u);
 }
 
-// ---- raw comparator escape hatch: a pure host-side optimization ----
+// ---- pool-size invariance of a merged CMF job ----
 
-TEST(RawComparatorModes, SimulationIsBitIdenticalWithFastPathOnAndOff) {
+TEST(PoolInvariance, MergedCmfJobBitIdenticalAtPool1And8) {
   // The Fig. 9 workload (Q21 "Left Outer Join1" sub-tree, a merged CMF
-  // job under the YSmart profile) run twice: once on the memcmp raw
-  // comparator, once on the compare_rows fallback. The knob may only
-  // change host wall-clock — everything simulated must match byte for
-  // byte: metrics, results, analyzer JSON, and the sim-axis journal.
+  // job under the YSmart profile) run at host pool sizes 1 and 8. The
+  // pool may only change host wall-clock — everything simulated must
+  // match byte for byte: metrics, results, analyzer JSON, and the
+  // sim-axis journal.
   TpchConfig small;
   small.orders = 1500;
   small.parts = 200;
@@ -516,84 +517,7 @@ TEST(RawComparatorModes, SimulationIsBitIdenticalWithFastPathOnAndOff) {
     std::string analyzer;
     std::string digest;
   };
-  const bool saved = raw_comparator_enabled();
-  auto run_mode = [&](bool raw) {
-    set_raw_comparator_enabled(raw);
-    Database db(ClusterConfig::small_local(1.0));
-    db.create_table("lineitem", tpch.lineitem);
-    db.create_table("orders", tpch.orders);
-    db.create_table("supplier", tpch.supplier);
-    db.create_table("nation", tpch.nation);
-    obs::ObsContext obs;
-    db.set_observer(&obs);
-    Outcome o{db.run(queries::q21_subtree().sql, TranslatorProfile::ysmart()),
-              obs.events.jsonl(obs::EventLog::IncludeWall::No), "", ""};
-    obs::QueryHistoryRecord rec;
-    if (obs.history.at(0, &rec)) {
-      o.analyzer = rec.analyzer_text;
-      o.digest = rec.digest;
-    }
-    return o;
-  };
-  const Outcome on = run_mode(true);
-  const Outcome off = run_mode(false);
-  set_raw_comparator_enabled(saved);
-
-  ASSERT_FALSE(on.run.metrics.failed());
-  ASSERT_FALSE(off.run.metrics.failed());
-  // Exact equality on the simulated doubles, not just approximate.
-  EXPECT_EQ(on.run.metrics.total_time_s(), off.run.metrics.total_time_s());
-  EXPECT_EQ(on.run.metrics.wall_time_s, off.run.metrics.wall_time_s);
-  ASSERT_EQ(on.run.metrics.jobs.size(), off.run.metrics.jobs.size());
-  for (std::size_t i = 0; i < on.run.metrics.jobs.size(); ++i) {
-    const auto& a = on.run.metrics.jobs[i];
-    const auto& b = off.run.metrics.jobs[i];
-    EXPECT_EQ(a.map_time_s, b.map_time_s) << "job " << i;
-    EXPECT_EQ(a.reduce_time_s, b.reduce_time_s) << "job " << i;
-    EXPECT_EQ(a.shuffle_bytes_raw, b.shuffle_bytes_raw) << "job " << i;
-    EXPECT_EQ(a.shuffle_bytes_wire, b.shuffle_bytes_wire) << "job " << i;
-    EXPECT_EQ(a.dfs_write_bytes, b.dfs_write_bytes) << "job " << i;
-    EXPECT_EQ(a.reduce.output_records, b.reduce.output_records) << "job " << i;
-  }
-  // Identical result rows in identical order.
-  ASSERT_NE(on.run.result, nullptr);
-  ASSERT_NE(off.run.result, nullptr);
-  ASSERT_EQ(on.run.result->row_count(), off.run.result->row_count());
-  for (std::size_t i = 0; i < on.run.result->rows().size(); ++i)
-    EXPECT_EQ(compare_rows(on.run.result->rows()[i], off.run.result->rows()[i]),
-              std::strong_ordering::equal);
-  // Analyzer JSON and the sim-axis event journal, byte for byte.
-  EXPECT_FALSE(on.analyzer.empty());
-  EXPECT_EQ(on.analyzer, off.analyzer);
-  EXPECT_EQ(on.digest, off.digest);
-  EXPECT_EQ(on.journal, off.journal);
-}
-
-// ---- vectorized execution: a pure host-side optimization ----
-
-TEST(VectorizedModes, SimulationIsBitIdenticalOnOffAcrossPoolSizes) {
-  // The Fig. 9 workload (Q21 "Left Outer Join1" sub-tree, a merged CMF
-  // job under the YSmart profile) run four ways: columnar batch kernels
-  // on/off (YSMART_VECTORIZED) crossed with host pool sizes 1 and 8.
-  // Vectorization may only change host wall-clock — everything simulated
-  // must match byte for byte across all four runs: metrics, results,
-  // analyzer JSON, and the sim-axis journal (the PR 5 invariant).
-  TpchConfig small;
-  small.orders = 1500;
-  small.parts = 200;
-  small.customers = 150;
-  small.suppliers = 20;
-  const TpchData tpch = generate_tpch(small);
-
-  struct Outcome {
-    QueryRunResult run;
-    std::string journal;
-    std::string analyzer;
-    std::string digest;
-  };
-  const bool saved = vectorized_enabled();
-  auto run_mode = [&](bool vectorized, int pool_size) {
-    set_vectorized_enabled(vectorized);
+  auto run_pool = [&](int pool_size) {
     ThreadPool pool(pool_size);
     Database db(ClusterConfig::small_local(1.0), &pool);
     db.create_table("lineitem", tpch.lineitem);
@@ -611,50 +535,36 @@ TEST(VectorizedModes, SimulationIsBitIdenticalOnOffAcrossPoolSizes) {
     }
     return o;
   };
-  const Outcome base = run_mode(true, 1);
-  set_vectorized_enabled(saved);
+  const Outcome base = run_pool(1);
+  const Outcome o = run_pool(8);
   ASSERT_FALSE(base.run.metrics.failed());
+  ASSERT_FALSE(o.run.metrics.failed());
   EXPECT_FALSE(base.analyzer.empty());
-
-  struct ModeCase {
-    bool vectorized;
-    int pool;
-  };
-  for (const ModeCase mc :
-       {ModeCase{true, 8}, ModeCase{false, 1}, ModeCase{false, 8}}) {
-    SCOPED_TRACE(std::string("vectorized=") + (mc.vectorized ? "on" : "off") +
-                 " pool=" + std::to_string(mc.pool));
-    const Outcome o = run_mode(mc.vectorized, mc.pool);
-    set_vectorized_enabled(saved);
-    ASSERT_FALSE(o.run.metrics.failed());
-    // Exact equality on the simulated doubles, not just approximate.
-    EXPECT_EQ(base.run.metrics.total_time_s(), o.run.metrics.total_time_s());
-    EXPECT_EQ(base.run.metrics.wall_time_s, o.run.metrics.wall_time_s);
-    ASSERT_EQ(base.run.metrics.jobs.size(), o.run.metrics.jobs.size());
-    for (std::size_t i = 0; i < base.run.metrics.jobs.size(); ++i) {
-      const auto& a = base.run.metrics.jobs[i];
-      const auto& b = o.run.metrics.jobs[i];
-      EXPECT_EQ(a.map_time_s, b.map_time_s) << "job " << i;
-      EXPECT_EQ(a.reduce_time_s, b.reduce_time_s) << "job " << i;
-      EXPECT_EQ(a.shuffle_bytes_raw, b.shuffle_bytes_raw) << "job " << i;
-      EXPECT_EQ(a.shuffle_bytes_wire, b.shuffle_bytes_wire) << "job " << i;
-      EXPECT_EQ(a.dfs_write_bytes, b.dfs_write_bytes) << "job " << i;
-      EXPECT_EQ(a.reduce.output_records, b.reduce.output_records)
-          << "job " << i;
-    }
-    // Identical result rows in identical order.
-    ASSERT_NE(base.run.result, nullptr);
-    ASSERT_NE(o.run.result, nullptr);
-    ASSERT_EQ(base.run.result->row_count(), o.run.result->row_count());
-    for (std::size_t i = 0; i < base.run.result->rows().size(); ++i)
-      EXPECT_EQ(compare_rows(base.run.result->rows()[i],
-                             o.run.result->rows()[i]),
-                std::strong_ordering::equal);
-    // Analyzer JSON and the sim-axis event journal, byte for byte.
-    EXPECT_EQ(base.analyzer, o.analyzer);
-    EXPECT_EQ(base.digest, o.digest);
-    EXPECT_EQ(base.journal, o.journal);
+  // Exact equality on the simulated doubles, not just approximate.
+  EXPECT_EQ(base.run.metrics.total_time_s(), o.run.metrics.total_time_s());
+  EXPECT_EQ(base.run.metrics.wall_time_s, o.run.metrics.wall_time_s);
+  ASSERT_EQ(base.run.metrics.jobs.size(), o.run.metrics.jobs.size());
+  for (std::size_t i = 0; i < base.run.metrics.jobs.size(); ++i) {
+    const auto& a = base.run.metrics.jobs[i];
+    const auto& b = o.run.metrics.jobs[i];
+    EXPECT_EQ(a.map_time_s, b.map_time_s) << "job " << i;
+    EXPECT_EQ(a.reduce_time_s, b.reduce_time_s) << "job " << i;
+    EXPECT_EQ(a.shuffle_bytes_raw, b.shuffle_bytes_raw) << "job " << i;
+    EXPECT_EQ(a.shuffle_bytes_wire, b.shuffle_bytes_wire) << "job " << i;
+    EXPECT_EQ(a.dfs_write_bytes, b.dfs_write_bytes) << "job " << i;
+    EXPECT_EQ(a.reduce.output_records, b.reduce.output_records) << "job " << i;
   }
+  // Identical result rows in identical order.
+  ASSERT_NE(base.run.result, nullptr);
+  ASSERT_NE(o.run.result, nullptr);
+  ASSERT_EQ(base.run.result->row_count(), o.run.result->row_count());
+  for (std::size_t i = 0; i < base.run.result->rows().size(); ++i)
+    EXPECT_EQ(compare_rows(base.run.result->rows()[i], o.run.result->rows()[i]),
+              std::strong_ordering::equal);
+  // Analyzer JSON and the sim-axis event journal, byte for byte.
+  EXPECT_EQ(base.analyzer, o.analyzer);
+  EXPECT_EQ(base.digest, o.digest);
+  EXPECT_EQ(base.journal, o.journal);
 }
 
 // ---- the what-if comparator on the Fig. 9 workload ----

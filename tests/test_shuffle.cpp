@@ -1,8 +1,9 @@
 // Pins the raw-comparator shuffle primitives (mr/shuffle.h) to their
-// executable specification: plain std::sort over (norm_key, source, seq)
-// must reproduce exactly what std::stable_sort(kv_less) produced, the
-// k-way merge must equal concatenate-then-stable-sort, and the
-// YSMART_RAW_COMPARATOR knob must parse and flip behaviourlessly.
+// executable specification, the cell-by-cell kv_less / compare_rows:
+// plain std::sort over (norm_key, source, seq) must reproduce exactly
+// what std::stable_sort(kv_less) produces, the k-way merge must equal
+// concatenate-then-stable-sort, and reduce-group detection must agree
+// with compare_rows equality.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -153,7 +154,8 @@ TEST(Shuffle, SortPinOnMergedCmfJobMapOutput) {
   };
   Collector collector;
   auto mapper = spec.make_mapper();
-  for (const auto& row : t->rows()) mapper->map(row, 0, collector);
+  ColumnBatch batch(t->rows());  // 60 rows: one batch
+  mapper->map(batch, 0, collector);
   mapper->finish(collector);
   ASSERT_FALSE(collector.out.empty());
 
@@ -170,33 +172,23 @@ TEST(Shuffle, SortPinOnMergedCmfJobMapOutput) {
   }
 }
 
-TEST(Shuffle, SameShuffleKeyAgreesInBothModes) {
-  const bool saved = raw_comparator_enabled();
+TEST(Shuffle, SameShuffleKeyMatchesCompareRows) {
   KeyValue a, b, c;
   a.key = {Value{1}, Value{"x"}};
   b.key = {Value{1.0}, Value{"x"}};  // equal to a across Int/Double
   c.key = {Value{2}, Value{"x"}};
   for (KeyValue* kv : {&a, &b, &c}) kv->norm_key = encode_norm_key(kv->key);
-  for (const bool mode : {true, false}) {
-    set_raw_comparator_enabled(mode);
-    EXPECT_TRUE(same_shuffle_key(a, b)) << "mode " << mode;
-    EXPECT_FALSE(same_shuffle_key(a, c)) << "mode " << mode;
-  }
-  set_raw_comparator_enabled(saved);
-}
+  EXPECT_TRUE(same_shuffle_key(a, b));
+  EXPECT_FALSE(same_shuffle_key(a, c));
 
-TEST(Shuffle, PartitionIsIndependentOfComparatorMode) {
-  const bool saved = raw_comparator_enabled();
+  // Every pair of a tie-heavy random bucket: byte equality of the cached
+  // normalized keys must be exactly compare_rows equality.
   Rng rng(5150);
-  auto bucket = random_bucket(rng, 100, 10);
+  auto bucket = random_bucket(rng, 60, 4);
   prepare_bucket(bucket);
-  std::vector<std::size_t> on, off;
-  set_raw_comparator_enabled(true);
-  for (const auto& kv : bucket) on.push_back(shuffle_partition(kv, 7));
-  set_raw_comparator_enabled(false);
-  for (const auto& kv : bucket) off.push_back(shuffle_partition(kv, 7));
-  set_raw_comparator_enabled(saved);
-  EXPECT_EQ(on, off);
+  for (const auto& x : bucket)
+    for (const auto& y : bucket)
+      ASSERT_EQ(same_shuffle_key(x, y), compare_rows(x.key, y.key) == 0);
 }
 
 TEST(Shuffle, EnvFlagParsing) {
