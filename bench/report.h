@@ -103,15 +103,15 @@ class Report {
     if (progress_)
       obs_.progress.set_callback([this](const obs::ProgressSnapshot& s) {
         // Print one line per completed job (and the final query line);
-        // task-level updates would flood the terminal. jobs_done and
-        // tasks_done only grow within a query, so the output is
-        // monotonic by construction.
+        // query and wave updates are skipped. jobs_done and tasks_done
+        // only grow within a query, so the output is monotonic by
+        // construction.
         if (s.jobs_done == last_jobs_printed_ && s.active) return;
         last_jobs_printed_ = s.active ? s.jobs_done : 0;
         std::fprintf(stderr,
                      "progress: [%s] wave %d  jobs %zu/%zu  tasks %zu/%zu%s\n",
                      s.profile.c_str(), s.current_wave, s.jobs_done,
-                     s.total_jobs, s.tasks_done(), s.tasks_total(),
+                     s.total_jobs, s.tasks_done(), s.tasks_done(),
                      s.active ? "" : "  done");
       });
   }

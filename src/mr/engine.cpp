@@ -13,21 +13,6 @@ namespace ysmart {
 
 namespace {
 
-/// Stragglers so far, by the analyzer's rule: tasks above twice the
-/// lower median, in phases with at least two tasks. Computed on the
-/// orchestrating thread at phase end for the progress tracker.
-int count_stragglers(const std::vector<double>& times) {
-  if (times.size() < 2) return 0;
-  std::vector<double> sorted = times;
-  std::sort(sorted.begin(), sorted.end());
-  const double median = sorted[(sorted.size() - 1) / 2];
-  if (median <= 0) return 0;
-  int n = 0;
-  for (double t : times)
-    if (t > 2.0 * median) ++n;
-  return n;
-}
-
 /// One map task = one block of one input file.
 struct MapTaskDef {
   const DfsFile* file = nullptr;
@@ -270,75 +255,9 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
   check(!spec.outputs.empty(), "job needs at least one output");
   JobMetrics m;
   m.job_name = spec.name;
-
-  // Observability: the job span and the simulated-timeline offset this
-  // job starts at. Everything below is guarded by obs_ and reads only
-  // values already computed for JobMetrics, so a null obs_ costs a
-  // handful of branches and an attached one cannot perturb results.
+  // The job's host wall span. The observer places it (and its phase
+  // spans) on the simulated axis from the JobRecord handed over below.
   obs::ScopedSpan job_span(obs_, "job:" + spec.name, "job");
-  const double sim0 = obs_ ? obs_->tracer.sim_now() : 0.0;
-  std::uint64_t retries = 0;
-  // Per-task samples retained for the analyzer; populated (and recorded by
-  // finalize) only when an ObsContext is attached.
-  obs::JobTaskSamples js;
-  auto finalize = [&]() {
-    if (!obs_) return;
-    job_span.sim(sim0, m.total_time_s());
-    job_span.arg("sched_delay_s", m.sched_delay_s);
-    job_span.arg("map_time_s", m.map_time_s);
-    job_span.arg("reduce_time_s", m.reduce_time_s);
-    job_span.arg("shuffle_bytes_wire", m.shuffle_bytes_wire);
-    job_span.arg("dfs_write_bytes", m.dfs_write_bytes);
-    if (m.failed) job_span.arg("fail_reason", std::string_view(m.fail_reason));
-    obs_->tracer.set_sim_now(sim0 + m.total_time_s());
-
-    auto& reg = obs_->metrics;
-    reg.add("engine.jobs.run", 1);
-    reg.add("engine.map.tasks", m.map.tasks);
-    reg.add("engine.map.input_bytes", m.map.input_bytes);
-    reg.add("engine.map.output_bytes", m.map.output_bytes);
-    reg.add("engine.map.remote_read_bytes", m.remote_read_bytes);
-    reg.add("engine.shuffle.bytes_raw", m.shuffle_bytes_raw);
-    reg.add("engine.shuffle.bytes_wire", m.shuffle_bytes_wire);
-    reg.add("engine.reduce.tasks", m.reduce.tasks);
-    reg.add("engine.reduce.output_bytes", m.reduce.output_bytes);
-    reg.add("engine.dfs.write_bytes", m.dfs_write_bytes);
-    reg.add("engine.tasks.retries", retries);
-    if (m.failed) {
-      reg.add("engine.jobs.failed", 1);
-      reg.note("engine.last_fail_reason", m.job_name + ": " + m.fail_reason);
-    }
-    const ThreadPool::Stats ps = pool_->stats();
-    reg.set("pool.tasks.submitted", ps.tasks_submitted);
-    reg.set_max("pool.queue.peak_depth", ps.peak_queue_depth);
-    reg.set_max("pool.workers.peak_busy", ps.peak_busy_workers);
-    reg.set("pool.workers.size", pool_->size());
-
-    js.job_name = m.job_name;
-    js.map_only = !spec.make_reducer;
-    js.failed = m.failed;
-    js.sched_delay_s = m.sched_delay_s;
-    js.map_time_s = m.map_time_s;
-    js.reduce_time_s = m.reduce_time_s;
-    js.target_reduce_tasks = m.reduce.tasks;
-    js.key_columns = spec.key_column_names;
-    obs_->samples.record_job(std::move(js));
-
-    if (m.failed)
-      obs_->events.emit(obs::EventLevel::Error, obs::EventCategory::Fault,
-                        "job-failed", sim0 + m.total_time_s(),
-                        {{"job", m.job_name},
-                         {"reason", std::string_view(m.fail_reason)},
-                         {"sim_total_s", m.total_time_s()}});
-    else
-      obs_->events.emit(obs::EventLevel::Info, obs::EventCategory::PostJob,
-                        "job-done", sim0 + m.total_time_s(),
-                        {{"job", m.job_name},
-                         {"retries", retries},
-                         {"dfs_write_bytes", m.dfs_write_bytes},
-                         {"sim_total_s", m.total_time_s()}});
-    obs_->progress.job_done(m.failed, m.total_time_s());
-  };
 
   // ---- contention: scheduling delay and reduced slot availability ----
   double slot_share = 1.0;
@@ -352,21 +271,9 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
       std::max(1, static_cast<int>(cfg_.total_map_slots() * slot_share));
   const int reduce_slots =
       std::max(1, static_cast<int>(cfg_.total_reduce_slots() * slot_share));
-  if (obs_) {
-    // Cluster shape for the cluster view: node count plus the effective
-    // slot counts fed to the makespan (post-contention), so the slot
-    // timeline replays exactly what the schedule used.
-    js.worker_nodes = cfg_.worker_nodes;
-    js.map_slots = map_slots;
-    js.reduce_slots = reduce_slots;
-  }
-  if (obs_ && m.sched_delay_s > 0) {
-    // Scheduling delay exists only on the simulated axis; the span is
-    // zero-width in wall-clock.
-    obs::ScopedSpan sched(obs_, "sched", "phase");
-    sched.sim(sim0, m.sched_delay_s);
-    sched.arg("slot_share", slot_share);
-  }
+  // Scheduling delay exists only on the simulated axis: the sched span
+  // is zero-width in wall-clock, opened before the map span.
+  if (m.sched_delay_s > 0) obs::ScopedSpan sched(obs_, "sched", "phase");
 
   // ---- build map task list ----
   std::vector<MapTaskDef> tasks;
@@ -400,27 +307,40 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
   const double reducer_scale =
       static_cast<double>(num_reducers) / static_cast<double>(target_reducers);
 
-  if (obs_)
-    obs_->progress.begin_job(spec.name, map_only, tasks.size(),
-                             static_cast<std::size_t>(num_reducers));
+  // Observability: the per-task samples are kept only when an observer
+  // is attached, and the finished record is handed over once, while the
+  // job span is still open. The observer derives every sim-axis view
+  // from it (obs/obs.h), so an attached one cannot perturb results.
+  obs::JobRecord rec;
+  auto finish = [&]() -> JobMetrics {
+    if (obs_) {
+      rec.metrics = m;
+      rec.map_only = map_only;
+      rec.slot_share = slot_share;
+      // Cluster shape for the cluster view: node count plus the effective
+      // (post-contention) slot counts fed to the makespan, so the slot
+      // timeline replays exactly what the schedule used.
+      rec.worker_nodes = cfg_.worker_nodes;
+      rec.map_slots = map_slots;
+      rec.reduce_slots = reduce_slots;
+      rec.key_columns = spec.key_column_names;
+      obs_->record_job(std::move(rec), *pool_);
+    }
+    return m;
+  };
 
   // ---- execute map tasks on the shared thread pool ----
   std::vector<MapTaskResult> results(tasks.size());
-  int map_span_id = -1;
   {
-    obs::ScopedSpan map_span(obs_, "map", "phase");
-    map_span_id = map_span.id();
-    // Host-axis accounting only: the PhaseClock/TaskClock pair reads CPU
-    // clocks and thread-local counters, never sim quantities (see
-    // obs/profiler.h for the non-perturbation contract).
-    obs::PhaseClock map_prof(obs_ ? &obs_->profiler : nullptr, map_span_id,
-                             spec.name, "map");
-    pool_->parallel_for(tasks.size(), /*grain=*/0,
-                        [&](std::size_t begin, std::size_t end) {
-                          obs::TaskClock tc(map_prof.agg());
-                          for (std::size_t i = begin; i < end; ++i)
-                            results[i] = run_map_task(spec, tasks[i], num_reducers);
-                        });
+    // Host-axis accounting only: the phase clocks read CPU clocks and
+    // thread-local counters, never sim quantities (see obs/profiler.h
+    // for the non-perturbation contract).
+    obs::PhaseScope map_phase(obs_, "map", "phase", spec.name, "map");
+    map_phase.parallel_for(*pool_, tasks.size(), /*grain=*/0,
+                           [&](std::size_t begin, std::size_t end) {
+                             for (std::size_t i = begin; i < end; ++i)
+                               results[i] = run_map_task(spec, tasks[i], num_reducers);
+                           });
   }
 
   // ---- measure + cost the map phase ----
@@ -445,7 +365,6 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
     // Fault tolerance: a failed attempt is re-executed from its
     // materialized input; every attempt's time is paid.
     const AttemptPlan plan = draw_attempts();
-    retries += static_cast<std::uint64_t>(plan.attempts - 1);
     map_task_times.push_back(
         plan.attempts * cost_.map_task_seconds(r.work, spec.map_cpu_multiplier));
     if (obs_) {
@@ -458,6 +377,7 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
       s.output_bytes = r.work.output_bytes_raw;
       s.sim_seconds = map_task_times.back();
       s.attempts = plan.attempts;
+      s.exhausted = plan.exhausted;
       s.local_read = r.work.local_read;
       if (!map_only) {
         // Exact per-(task, partition) wire bytes, summed from the
@@ -472,19 +392,7 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
           s.partition_bytes.push_back(pb);
         }
       }
-      js.map_tasks.push_back(std::move(s));
-      obs_->progress.task_done(/*reduce_phase=*/false, map_task_times.back());
-      // Fault-injection retries used to vanish into a counter; journal
-      // every retried/exhausted task individually.
-      if (plan.attempts > 1)
-        obs_->events.emit(
-            plan.exhausted ? obs::EventLevel::Error : obs::EventLevel::Warn,
-            obs::EventCategory::Fault,
-            plan.exhausted ? "task-exhausted" : "task-retry",
-            sim0 + m.sched_delay_s,
-            {{"job", spec.name}, {"phase", "map"},
-             {"task", static_cast<std::uint64_t>(i)},
-             {"attempts", plan.attempts}});
+      rec.map_tasks.push_back(std::move(s));
     }
     if (plan.exhausted && !m.failed) {
       m.failed = true;
@@ -496,24 +404,6 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
   }
   m.map.tasks = results.size();
   m.map_time_s = CostModel::makespan(map_task_times, map_slots);
-  if (obs_) {
-    obs_->tracer.set_sim(map_span_id, sim0 + m.sched_delay_s, m.map_time_s);
-    obs_->tracer.arg(map_span_id, "tasks", m.map.tasks);
-    obs_->tracer.arg(map_span_id, "input_bytes", m.map.input_bytes);
-    obs_->tracer.arg(map_span_id, "output_bytes", m.map.output_bytes);
-    // Feed the histogram from the retained samples (identical values to
-    // map_task_times) so registry and samples reconcile exactly.
-    for (const auto& s : js.map_tasks)
-      obs_->metrics.observe("engine.map.task_sim_seconds", s.sim_seconds);
-    obs_->progress.phase_done(/*reduce_phase=*/false,
-                              count_stragglers(map_task_times));
-    obs_->events.emit(obs::EventLevel::Info, obs::EventCategory::Map,
-                      "map-phase-done", sim0 + m.sched_delay_s + m.map_time_s,
-                      {{"job", spec.name}, {"tasks", m.map.tasks},
-                       {"input_bytes", m.map.input_bytes},
-                       {"output_bytes", m.map.output_bytes},
-                       {"makespan_s", m.map_time_s}});
-  }
 
   // Intermediate-disk capacity check (how Pig's Q-CSA run died: the
   // intermediate results outgrew the test machines' disks). Hadoop keeps
@@ -537,18 +427,17 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
     // Map output rows go straight to DFS output 0 (value part). The
     // job's final output is the map phase's output (m.map.output_*);
     // reduce metrics stay zero — see the convention note in metrics.h.
-    obs::ScopedSpan post_span(obs_, "post-job", "phase");
-    obs::PhaseClock post_prof(obs_ ? &obs_->profiler : nullptr, post_span.id(),
-                              spec.name, "post-job");
-    obs::TaskClock post_tc(post_prof.agg());
-    auto out = std::make_shared<Table>(spec.outputs[0].schema);
-    for (auto& r : results)
-      for (auto& bucket : r.buckets)
-        for (auto& kv : bucket) out->append(std::move(kv.value));
-    m.dfs_write_bytes = out->byte_size() * cfg_.replication;
-    dfs_.write(spec.outputs[0].path, std::move(out));
-    finalize();
-    return m;
+    {
+      obs::PhaseScope post(obs_, "post-job", "phase", spec.name, "post-job",
+                           /*clock_caller=*/true);
+      auto out = std::make_shared<Table>(spec.outputs[0].schema);
+      for (auto& r : results)
+        for (auto& bucket : r.buckets)
+          for (auto& kv : bucket) out->append(std::move(kv.value));
+      m.dfs_write_bytes = out->byte_size() * cfg_.replication;
+      dfs_.write(spec.outputs[0].path, std::move(out));
+    }
+    return finish();
   }
 
   // ---- shuffle + reduce, partitions in parallel on the pool ----
@@ -567,29 +456,22 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
   std::vector<std::vector<KeyValue>> merged(
       static_cast<std::size_t>(num_reducers));
   {
-    obs::ScopedSpan sort_span(obs_, "shuffle-sort", "phase");
-    obs::PhaseClock sort_prof(obs_ ? &obs_->profiler : nullptr, sort_span.id(),
-                              spec.name, "shuffle-sort");
-    pool_->parallel_for(static_cast<std::size_t>(num_reducers), /*grain=*/1,
-                        [&](std::size_t begin, std::size_t end) {
-                          obs::TaskClock tc(sort_prof.agg());
-                          for (std::size_t p = begin; p < end; ++p)
-                            merged[p] = merge_sorted_buckets(results, p);
-                        });
+    obs::PhaseScope sort_phase(obs_, "shuffle-sort", "phase", spec.name,
+                               "shuffle-sort");
+    sort_phase.parallel_for(*pool_, static_cast<std::size_t>(num_reducers),
+                            /*grain=*/1, [&](std::size_t begin, std::size_t end) {
+                              for (std::size_t p = begin; p < end; ++p)
+                                merged[p] = merge_sorted_buckets(results, p);
+                            });
   }
 
   // Pass 2, reduce: run each partition's reducer over its merged input.
   std::vector<PartitionResult> parts(static_cast<std::size_t>(num_reducers));
-  int reduce_span_id = -1;
   {
-    obs::ScopedSpan reduce_span(obs_, "reduce", "phase");
-    reduce_span_id = reduce_span.id();
-    obs::PhaseClock reduce_prof(obs_ ? &obs_->profiler : nullptr,
-                                reduce_span_id, spec.name, "reduce");
-    pool_->parallel_for(
-        static_cast<std::size_t>(num_reducers), /*grain=*/1,
+    obs::PhaseScope reduce_phase(obs_, "reduce", "phase", spec.name, "reduce");
+    reduce_phase.parallel_for(
+        *pool_, static_cast<std::size_t>(num_reducers), /*grain=*/1,
         [&](std::size_t begin, std::size_t end) {
-          obs::TaskClock tc(reduce_prof.agg());
           for (std::size_t p = begin; p < end; ++p)
             parts[p] = run_reduce_partition(spec, std::move(merged[p]), cfg_,
                                             cost_, reducer_scale,
@@ -603,13 +485,12 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
   reduce_task_times.reserve(static_cast<std::size_t>(num_reducers));
   for (int p = 0; p < num_reducers; ++p) {
     const auto& pr = parts[static_cast<std::size_t>(p)];
+    const AttemptPlan& plan = plans[static_cast<std::size_t>(p)];
     m.shuffle_bytes_raw += pr.work.shuffle_bytes_raw;
     m.shuffle_bytes_wire += pr.work.shuffle_bytes_wire;
     m.reduce.input_records += pr.work.input_records;
     m.reduce.input_bytes += pr.work.shuffle_bytes_raw;
     reduce_task_times.push_back(pr.task_seconds);
-    retries += static_cast<std::uint64_t>(
-        plans[static_cast<std::size_t>(p)].attempts - 1);
     if (obs_) {
       obs::TaskSample s;
       s.index = p;
@@ -624,27 +505,16 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
       s.shuffle_bytes_wire = pr.work.shuffle_bytes_wire;
       s.shuffle_bytes_prescale = pr.shuffle_bytes_prescale;
       s.sim_seconds = pr.task_seconds;
-      s.attempts = plans[static_cast<std::size_t>(p)].attempts;
+      s.attempts = plan.attempts;
+      s.exhausted = plan.exhausted;
       s.key_groups = pr.key_groups;
       s.tag_records = pr.tag_records;
-      js.reduce_tasks.push_back(std::move(s));
+      rec.reduce_tasks.push_back(std::move(s));
       // Per-partition sketches fold in fixed partition order, keeping the
       // merged sketch deterministic at any pool size.
-      js.hot_keys.merge(pr.hot_keys);
-      obs_->progress.task_done(/*reduce_phase=*/true, pr.task_seconds);
-      if (plans[static_cast<std::size_t>(p)].attempts > 1) {
-        const bool exhausted = plans[static_cast<std::size_t>(p)].exhausted;
-        obs_->events.emit(
-            exhausted ? obs::EventLevel::Error : obs::EventLevel::Warn,
-            obs::EventCategory::Fault,
-            exhausted ? "task-exhausted" : "task-retry",
-            sim0 + m.sched_delay_s + m.map_time_s,
-            {{"job", spec.name}, {"phase", "reduce"},
-             {"task", static_cast<std::uint64_t>(p)},
-             {"attempts", plans[static_cast<std::size_t>(p)].attempts}});
-      }
+      rec.hot_keys.merge(pr.hot_keys);
     }
-    if (plans[static_cast<std::size_t>(p)].exhausted && !m.failed) {
+    if (plan.exhausted && !m.failed) {
       m.failed = true;
       m.fail_reason =
           strf("reduce partition %d failed %d consecutive attempts "
@@ -664,50 +534,11 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
     reduce_task_times = std::move(expanded);
   }
   m.reduce_time_s = CostModel::makespan(reduce_task_times, reduce_slots);
-  if (obs_) {
-    // The simulated reduce time includes shuffle transfer and merge: the
-    // cost model charges them per reduce task, like Hadoop's reduce-side
-    // copy/sort phases being billed to the reduce task.
-    obs_->tracer.set_sim(reduce_span_id, sim0 + m.sched_delay_s + m.map_time_s,
-                         m.reduce_time_s);
-    obs_->tracer.arg(reduce_span_id, "tasks", m.reduce.tasks);
-    obs_->tracer.arg(reduce_span_id, "shuffle_bytes_wire",
-                     m.shuffle_bytes_wire);
-    // One histogram observation per *modeled* task, read from the retained
-    // per-partition samples (task i reuses sample i % partitions — exactly
-    // how reduce_task_times was expanded), so registry and samples
-    // reconcile.
-    for (int i = 0; i < target_reducers; ++i)
-      obs_->metrics.observe(
-          "engine.reduce.task_sim_seconds",
-          js.reduce_tasks[static_cast<std::size_t>(i % num_reducers)]
-              .sim_seconds);
-    obs_->events.emit(obs::EventLevel::Info, obs::EventCategory::Shuffle,
-                      "shuffle-done", sim0 + m.sched_delay_s + m.map_time_s,
-                      {{"job", spec.name},
-                       {"bytes_raw", m.shuffle_bytes_raw},
-                       {"bytes_wire", m.shuffle_bytes_wire}});
-    // Straggler detection runs over the simulated (pre-expansion)
-    // partition times — expansion only repeats them.
-    std::vector<double> part_times;
-    part_times.reserve(js.reduce_tasks.size());
-    for (const auto& s : js.reduce_tasks) part_times.push_back(s.sim_seconds);
-    obs_->progress.phase_done(/*reduce_phase=*/true,
-                              count_stragglers(part_times));
-    obs_->events.emit(obs::EventLevel::Info, obs::EventCategory::Reduce,
-                      "reduce-phase-done",
-                      sim0 + m.sched_delay_s + m.map_time_s + m.reduce_time_s,
-                      {{"job", spec.name}, {"tasks", m.reduce.tasks},
-                       {"input_records", m.reduce.input_records},
-                       {"makespan_s", m.reduce_time_s}});
-  }
 
   // ---- write outputs: concatenate partition tables in partition order ----
   {
-    obs::ScopedSpan post_span(obs_, "post-job", "phase");
-    obs::PhaseClock post_prof(obs_ ? &obs_->profiler : nullptr, post_span.id(),
-                              spec.name, "post-job");
-    obs::TaskClock post_tc(post_prof.agg());
+    obs::PhaseScope post(obs_, "post-job", "phase", spec.name, "post-job",
+                         /*clock_caller=*/true);
     for (std::size_t i = 0; i < spec.outputs.size(); ++i) {
       auto t = std::make_shared<Table>(spec.outputs[i].schema);
       for (auto& pr : parts)
@@ -718,8 +549,7 @@ JobMetrics Engine::run(const MRJobSpec& spec) {
       dfs_.write(spec.outputs[i].path, std::move(t));
     }
   }
-  finalize();
-  return m;
+  return finish();
 }
 
 }  // namespace ysmart

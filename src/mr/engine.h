@@ -56,10 +56,11 @@ class Engine {
   const ClusterConfig& cluster() const { return cfg_; }
   Dfs& dfs() { return dfs_; }
 
-  /// Attach (or detach with null) an observability context: job/phase
-  /// spans and counters are recorded there. Null (the default) disables
-  /// all instrumentation; observation never changes simulated metrics,
-  /// results, or RNG consumption (tests/test_obs.cpp).
+  /// Attach (or detach with null) an observability context: the engine
+  /// opens each job's host-measured spans there and hands every finished
+  /// job over once, as an obs::JobRecord (obs/obs.h). Null (the default)
+  /// disables all instrumentation; observation never changes simulated
+  /// metrics, results, or RNG consumption (tests/test_obs.cpp).
   void set_obs(obs::ObsContext* obs) { obs_ = obs; }
   obs::ObsContext* obs() const { return obs_; }
 

@@ -8,8 +8,6 @@
 
 namespace ysmart::obs {
 
-namespace {
-
 PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks,
                            const AnalyzerOptions& opts) {
   PhaseSkewStats st;
@@ -36,6 +34,8 @@ PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks,
         st.stragglers.push_back(static_cast<int>(i));
   return st;
 }
+
+namespace {
 
 std::string render_key(const JobAnalysis& job, const std::string& key) {
   if (job.key_columns.empty()) return key;
@@ -72,15 +72,16 @@ AnalyzerReport analyze_query(const QueryTaskSamples& query,
   // ---- per-job statistics ----
   for (const auto& js : query.jobs) {
     JobAnalysis ja;
-    ja.name = js.job_name;
+    const JobMetrics& m = js.metrics;
+    ja.name = m.job_name;
     ja.wave = js.wave;
     ja.map_only = js.map_only;
-    ja.failed = js.failed;
-    ja.sched_delay_s = js.sched_delay_s;
-    ja.map_time_s = js.map_time_s;
-    ja.reduce_time_s = js.reduce_time_s;
-    ja.total_s = js.total_time_s();
-    ja.target_reduce_tasks = js.target_reduce_tasks;
+    ja.failed = m.failed;
+    ja.sched_delay_s = m.sched_delay_s;
+    ja.map_time_s = m.map_time_s;
+    ja.reduce_time_s = m.reduce_time_s;
+    ja.total_s = m.total_time_s();
+    ja.target_reduce_tasks = m.reduce.tasks;
     ja.key_columns = js.key_columns;
     ja.map = phase_stats(js.map_tasks, opts);
     ja.reduce = phase_stats(js.reduce_tasks, opts);

@@ -125,6 +125,12 @@ struct AnalyzerReport {
   std::string json() const;
 };
 
+/// Skew statistics of one phase's task samples. Stragglers are tasks
+/// above `straggler_threshold` times the lower median, in phases with at
+/// least two tasks; the progress tracker counts them by the same rule.
+PhaseSkewStats phase_stats(const std::vector<TaskSample>& tasks,
+                           const AnalyzerOptions& opts = {});
+
 /// Analyze one query's samples. Jobs with wave -1 (standalone engine
 /// runs) are treated as serial: each forms its own wave in order.
 AnalyzerReport analyze_query(const QueryTaskSamples& query,

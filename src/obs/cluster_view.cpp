@@ -133,7 +133,7 @@ ClusterReport build_cluster_view(const QueryTaskSamples& query,
       if (wave_id < 0 && j > i) break;
       if (wave_id >= 0 && query.jobs[j].wave != wave_id) break;
       job_start[j] = rep.makespan_s;
-      elapsed = std::max(elapsed, query.jobs[j].total_time_s());
+      elapsed = std::max(elapsed, query.jobs[j].metrics.total_time_s());
     }
     rep.makespan_s += elapsed;
     i = j;
@@ -145,9 +145,10 @@ ClusterReport build_cluster_view(const QueryTaskSamples& query,
   rep.traffic.row_bytes.assign(static_cast<std::size_t>(nodes), 0);
   rep.traffic.col_bytes.assign(static_cast<std::size_t>(nodes), 0);
   for (std::size_t ji = 0; ji < query.jobs.size(); ++ji) {
-    const JobTaskSamples& js = query.jobs[ji];
+    const JobRecord& js = query.jobs[ji];
+    const JobMetrics& m = js.metrics;
     ClusterJobInfo info;
-    info.name = js.job_name;
+    info.name = m.job_name;
     info.wave = js.wave;
     info.map_only = js.map_only;
     info.start_s = job_start[ji];
@@ -157,8 +158,8 @@ ClusterReport build_cluster_view(const QueryTaskSamples& query,
         !js.map_tasks.empty() &&
         js.map_tasks.size() < static_cast<std::size_t>(js.map_slots);
     info.reduce_underfilled =
-        !js.map_only && js.target_reduce_tasks > 0 &&
-        js.target_reduce_tasks < static_cast<std::uint64_t>(js.reduce_slots);
+        !js.map_only && m.reduce.tasks > 0 &&
+        m.reduce.tasks < static_cast<std::uint64_t>(js.reduce_slots);
     rep.underfilled_phases +=
         (info.map_underfilled ? 1 : 0) + (info.reduce_underfilled ? 1 : 0);
 
@@ -191,13 +192,13 @@ ClusterReport build_cluster_view(const QueryTaskSamples& query,
       n.busy_reduce_s += t.sim_seconds;
     }
 
-    const double map_start = job_start[ji] + js.sched_delay_s;
+    const double map_start = job_start[ji] + m.sched_delay_s;
     info.map_replay_s =
         replay_phase(js.map_tasks, js.map_slots, nodes, map_start,
                      static_cast<int>(ji), /*reduce=*/false, rep.timeline);
     if (!js.map_only)
       info.reduce_replay_s = replay_phase(
-          js.reduce_tasks, js.reduce_slots, nodes, map_start + js.map_time_s,
+          js.reduce_tasks, js.reduce_slots, nodes, map_start + m.map_time_s,
           static_cast<int>(ji), /*reduce=*/true, rep.timeline);
     rep.jobs.push_back(std::move(info));
   }

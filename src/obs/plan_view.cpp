@@ -470,9 +470,9 @@ PlanReport join_plan_actuals(const QueryPrediction& pred,
         m = &jm;
         break;
       }
-    const JobTaskSamples* s = nullptr;
+    const JobRecord* s = nullptr;
     for (const auto& sj : samples.jobs)
-      if (sj.job_name == jp.name) {
+      if (sj.metrics.job_name == jp.name) {
         s = &sj;
         break;
       }

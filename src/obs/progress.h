@@ -1,25 +1,22 @@
-// Live progress reporting for an in-flight query DAG.
+// Progress reporting for an in-flight query DAG.
 //
-// The engine and DAG executor update per-wave/per-job task-completion
-// counters here — always from the orchestrating thread, at the points
-// where the corresponding values have already been computed for
-// JobMetrics (task costing loops, phase ends, wave ends) — so an
-// attached tracker observes execution without perturbing it, and its
-// contents are deterministic for a fixed seed at any pool size (only
-// *when* updates become visible depends on the host).
+// The tracker is fed at query, wave and job granularity by ObsContext
+// (obs/obs.h), always from the orchestrating thread. A job appears in
+// the snapshot when it completes, built from its JobRecord; tasks in
+// flight are not shown. The contents are deterministic for a fixed seed
+// at any pool size; only *when* updates become visible depends on the
+// host.
 //
 // Consumers take an immutable ProgressSnapshot: the shell renders the
 // latest one as \top, and bench binaries install an on-update callback
-// (--progress) to print task-completion lines while a DAG runs. The
-// callback is invoked from the orchestrating thread after the tracker's
-// lock is released; callbacks must not re-enter the tracker's mutators.
+// (--progress) that prints one line per completed job. The callback is
+// invoked from the orchestrating thread after the tracker's lock is
+// released; callbacks must not re-enter the tracker's mutators.
 //
-// ETA: the modeled remaining time is estimated from completed-task
-// simulated seconds — mean completed task time times the known remaining
-// tasks of the current job, plus mean completed-job time times the jobs
-// not yet started. It is an estimate on the *simulated* axis (how much
-// modeled time is left, the quantity the paper's figures compare), not a
-// host wall-clock forecast.
+// ETA: the modeled remaining time is the mean simulated time of the
+// completed jobs times the jobs not yet completed. It is an estimate on
+// the *simulated* axis (how much modeled time is left, the quantity the
+// paper's figures compare), not a host wall-clock forecast.
 #pragma once
 
 #include <cstdint>
@@ -28,24 +25,24 @@
 #include <string>
 #include <vector>
 
+#include "obs/task_samples.h"
+
 namespace ysmart::obs {
 
 struct PhaseProgress {
-  std::size_t tasks_total = 0;
-  std::size_t tasks_done = 0;
-  double sim_done_s = 0;  // summed sim seconds of completed tasks
-  int stragglers = 0;     // tasks > 2x phase median, known at phase end
+  std::size_t tasks = 0;
+  int stragglers = 0;  // tasks > 2x the lower median (the analyzer's rule)
 };
 
+/// One completed job.
 struct JobProgress {
   std::string name;
   int wave = -1;
   bool map_only = false;
-  bool done = false;
   bool failed = false;
   PhaseProgress map;
   PhaseProgress reduce;  // simulated partitions (what actually executes)
-  double sim_total_s = 0;  // filled when the job finishes
+  double sim_total_s = 0;
 };
 
 struct ProgressSnapshot {
@@ -59,13 +56,12 @@ struct ProgressSnapshot {
   int current_wave = -1;
   int waves_done = 0;
   bool failed = false;
-  std::vector<JobProgress> jobs;  // jobs started so far, in start order
+  std::vector<JobProgress> jobs;  // completed jobs, in completion order
   double sim_done_s = 0;  // completed-task sim seconds across the query
   double sim_elapsed_s = 0;  // final modeled elapsed; set at end_query
   double eta_s = -1;  // estimated remaining simulated seconds; <0 unknown
 
-  std::size_t tasks_done() const;
-  std::size_t tasks_total() const;  // of jobs started so far
+  std::size_t tasks_done() const;  // tasks of the completed jobs
 
   /// Multi-line rendering for the shell's \top.
   std::string render() const;
@@ -81,16 +77,9 @@ class ProgressTracker {
 
   void begin_query(std::string sql, std::string profile,
                    std::size_t total_jobs);
-  void begin_wave(int wave, std::size_t jobs_in_wave);
-  void begin_job(std::string name, bool map_only, std::size_t map_tasks,
-                 std::size_t reduce_partitions);
-  /// One task of the current job finished costing. `reduce_phase` selects
-  /// the phase; `sim_seconds` is the task's charged simulated time.
-  void task_done(bool reduce_phase, double sim_seconds);
-  /// The current job's phase completed; `stragglers` is the count of
-  /// tasks above twice the phase median (the analyzer's rule).
-  void phase_done(bool reduce_phase, int stragglers);
-  void job_done(bool failed, double sim_total_s);
+  void begin_wave(int wave);
+  /// One job of the current wave completed.
+  void job_done(const JobRecord& job);
   void end_query(bool failed, double sim_elapsed_s);
 
   ProgressSnapshot snapshot() const;

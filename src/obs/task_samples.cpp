@@ -2,6 +2,13 @@
 
 namespace ysmart::obs {
 
+std::uint64_t JobRecord::retries() const {
+  std::uint64_t n = 0;
+  for (const auto* tasks : {&map_tasks, &reduce_tasks})
+    for (const auto& t : *tasks) n += static_cast<std::uint64_t>(t.attempts - 1);
+  return n;
+}
+
 void TaskSampleStore::begin_query() {
   std::lock_guard<std::mutex> lock(mu_);
   queries_.emplace_back();
@@ -13,17 +20,11 @@ void TaskSampleStore::set_current_wave(int wave) {
   current_wave_ = wave;
 }
 
-void TaskSampleStore::record_job(JobTaskSamples samples) {
+void TaskSampleStore::record_job(JobRecord job) {
   std::lock_guard<std::mutex> lock(mu_);
   if (queries_.empty()) queries_.emplace_back();
-  samples.wave = current_wave_;
-  queries_.back().jobs.push_back(std::move(samples));
-}
-
-void TaskSampleStore::set_wall_time(double seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (queries_.empty()) queries_.emplace_back();
-  queries_.back().wall_time_s = seconds;
+  job.wave = current_wave_;
+  queries_.back().jobs.push_back(std::move(job));
 }
 
 std::size_t TaskSampleStore::query_count() const {
@@ -36,11 +37,6 @@ std::size_t TaskSampleStore::total_jobs() const {
   std::size_t n = 0;
   for (const auto& q : queries_) n += q.jobs.size();
   return n;
-}
-
-QueryTaskSamples TaskSampleStore::query(std::size_t index) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queries_.at(index);
 }
 
 QueryTaskSamples TaskSampleStore::last_query() const {

@@ -1,31 +1,33 @@
-// Per-task telemetry samples retained during simulated job execution.
+// One JobRecord per executed job: the fact base every sim-axis view of
+// a job is derived from.
 //
-// The engine computes a MapTaskWork per map task and a ReduceTaskWork per
-// reduce partition, costs them, folds them into JobMetrics — and, without
-// this store, throws the per-task detail away. When an ObsContext is
-// attached, the engine additionally retains one TaskSample per task so
-// the analyzer (obs/analyzer.h) can reason about skew, stragglers and
-// hot keys after the fact.
+// When an ObsContext is attached, the engine keeps one TaskSample per
+// map task and reduce partition next to the JobMetrics it computes, and
+// hands the finished job over once through ObsContext::record_job
+// (obs/obs.h). This store keeps the records for the after-the-fact views
+// (analyzer, cluster view, plan view).
 //
 // Conventions:
+//  * The record holds the job's JobMetrics by value and copies none of
+//    its fields; retries are the sum of attempts - 1 over the samples.
 //  * Samples are recorded by the engine's orchestrating thread in fixed
 //    task/partition order, so the store's contents are deterministic for
 //    a fixed seed at any thread-pool size (pinned by test_robustness).
 //  * Map-only jobs follow the metrics.h convention: their final output
 //    appears in the map samples and `reduce_tasks` stays empty.
 //  * Reduce samples exist per *simulated* partition (at most
-//    Engine::kMaxSimReducers); `target_reduce_tasks` records the real
-//    modeled task count the partition times were expanded to. The
-//    registry's reduce-task histogram is fed from these samples, one
-//    observation per modeled task (sample index = task % partitions), so
-//    registry and samples reconcile exactly.
+//    Engine::kMaxSimReducers); metrics.reduce.tasks is the real modeled
+//    task count the partition times were expanded to. The registry's
+//    reduce-task histogram is fed from these samples, one observation
+//    per modeled task (sample index = task % partitions).
 //  * `tag_records` is the per-source-tag record distribution of a CMF
 //    common job's reduce input — the per-merged-job view the paper's
 //    Fig. 9 discussion reasons about. Plain jobs have a single tag.
 //  * The observed query lifecycle groups into queries: Database::run
-//    begins a new group; standalone Engine::run calls land in an
-//    implicit group 0. The DAG executor stamps each job with its
-//    dependency-wave index (-1 when no executor was involved).
+//    begins a new group (ObsContext::begin_query); standalone
+//    Engine::run calls land in an implicit group 0. Each DAG wave
+//    (ObsContext::begin_wave) stamps its jobs with the dependency-wave
+//    index (-1 when no executor was involved).
 //  * Node identity (the cluster axis, obs/cluster_view.h): a map task
 //    runs on its round-robin TaskTracker node (task index %
 //    worker_nodes, the same assignment the engine uses for the locality
@@ -42,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "mr/metrics.h"
 #include "obs/heavy_hitters.h"
 
 namespace ysmart::obs {
@@ -72,6 +75,8 @@ struct TaskSample {
   /// registry histograms).
   double sim_seconds = 0;
   int attempts = 1;  // 1 = clean run; attempts-1 = retries
+  /// The last allowed attempt failed too; the job is marked failed.
+  bool exhausted = false;
 
   bool local_read = true;          // map only: block read from a local replica
   std::uint64_t key_groups = 0;    // reduce only: distinct keys in partition
@@ -83,20 +88,17 @@ struct TaskSample {
   std::vector<std::uint64_t> partition_bytes;
 };
 
-struct JobTaskSamples {
-  std::string job_name;
+struct JobRecord {
+  /// The job's measured and simulated metrics, as Engine::run returns
+  /// them.
+  JobMetrics metrics;
   int wave = -1;  // dependency-wave index; -1 = standalone engine run
   bool map_only = false;
-  bool failed = false;
-
-  // Simulated phase times, identical to the JobMetrics fields.
-  double sched_delay_s = 0;
-  double map_time_s = 0;
-  double reduce_time_s = 0;
-
-  /// Real modeled reduce task count (JobMetrics::reduce.tasks); the
-  /// simulator executes reduce_tasks.size() partitions standing for it.
-  std::uint64_t target_reduce_tasks = 0;
+  /// Where the job starts on the simulated timeline; set by
+  /// ObsContext::record_job from the wave (or query) cursor.
+  double sim_start_s = 0;
+  /// Contention: share of the cluster's slots the job was granted.
+  double slot_share = 1.0;
 
   /// Cluster shape the job ran against: node count and the *effective*
   /// (post-contention) slot counts the engine fed to the makespan —
@@ -117,16 +119,12 @@ struct JobTaskSamples {
   /// group; per-partition sketches merged in partition order.
   SpaceSaving hot_keys;
 
-  double total_time_s() const {
-    return sched_delay_s + map_time_s + reduce_time_s;
-  }
+  /// Failed attempts that were re-executed, over map and reduce samples.
+  std::uint64_t retries() const;
 };
 
 struct QueryTaskSamples {
-  std::vector<JobTaskSamples> jobs;
-  /// Modeled end-to-end elapsed time (QueryMetrics::wall_time_s), set by
-  /// the DAG executor; -1 for standalone engine runs.
-  double wall_time_s = -1;
+  std::vector<JobRecord> jobs;
 };
 
 /// Thread-safe container of sampled queries; owned by ObsContext.
@@ -138,17 +136,13 @@ class TaskSampleStore {
   /// Stamp subsequent record_job() calls with dependency wave `wave`.
   void set_current_wave(int wave);
 
-  /// Append one executed job's samples to the current query group (an
+  /// Append one executed job's record to the current query group (an
   /// implicit group is created for standalone engine runs).
-  void record_job(JobTaskSamples samples);
-
-  /// Record the current query's modeled end-to-end time.
-  void set_wall_time(double seconds);
+  void record_job(JobRecord job);
 
   std::size_t query_count() const;
   std::size_t total_jobs() const;
-  QueryTaskSamples query(std::size_t index) const;  // snapshot copy
-  QueryTaskSamples last_query() const;              // empty if none
+  QueryTaskSamples last_query() const;  // snapshot copy; empty if none
 
   void clear();
 

@@ -79,6 +79,19 @@ void Tracer::arg(int id, std::string key, std::string_view value) {
       std::move(key), "\"" + json_escape(value) + "\"");
 }
 
+int Tracer::open_span() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return open_.empty() ? -1 : open_.back();
+}
+
+int Tracer::child(int parent, std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t i = spans_.size(); i-- > 0;)
+    if (spans_[i].parent == parent && spans_[i].name == name)
+      return spans_[i].id;
+  return -1;
+}
+
 double Tracer::sim_now() const {
   std::lock_guard<std::mutex> lock(mu_);
   return sim_now_s_;

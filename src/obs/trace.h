@@ -84,9 +84,14 @@ class Tracer {
   void arg(int id, std::string key, double value);
   void arg(int id, std::string key, std::string_view value);
 
+  /// Innermost open span, or -1 when none is open.
+  int open_span() const;
+  /// Most recent child of span `parent` named `name`, or -1.
+  int child(int parent, std::string_view name) const;
+
   /// Simulated-timeline cursor: where the next job's sim interval starts.
-  /// The engine advances it past each job; the DAG executor rewinds it to
-  /// the wave start so concurrently-submitted jobs overlap.
+  /// ObsContext advances it past each recorded job and rewinds it to the
+  /// wave start so concurrently-submitted jobs overlap.
   double sim_now() const;
   void set_sim_now(double seconds);
 

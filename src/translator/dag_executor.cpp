@@ -45,28 +45,15 @@ QueryRunResult run_translated(const TranslatedQuery& query, Engine& engine,
 
     obs::ObsContext* obs = engine.obs();
     obs::ScopedSpan wave_span(obs, strf("wave:%zu", wave_idx), "wave");
-    // Stamp this wave's jobs in the sample store: the analyzer regroups
-    // them by wave id to reproduce the wall_time_s fold below exactly.
-    if (obs) {
-      obs->samples.set_current_wave(static_cast<int>(wave_idx));
-      obs->progress.begin_wave(wave_idx, wave.size());
-      obs->events.emit(obs::EventLevel::Info, obs::EventCategory::Schedule,
-                       "wave-start", obs->tracer.sim_now(),
-                       {{"wave", static_cast<std::uint64_t>(wave_idx)},
-                        {"jobs", static_cast<std::uint64_t>(wave.size())}});
-    }
-    ++wave_idx;
     // Jobs in one wave run concurrently on the modeled timeline: every
     // job in it starts at the wave's simulated start, and the wave ends
-    // when its slowest job does. The engine advances the tracer's sim
-    // cursor past each job, so rewind it to the wave start per job and
-    // place it at wave start + wave elapsed afterwards.
-    const double wave_sim0 = obs ? obs->tracer.sim_now() : 0.0;
+    // when its slowest job does (the observer places them so).
+    if (obs) obs->begin_wave(wave_idx, wave.size());
+    ++wave_idx;
     double wave_wall = 0;
     for (std::size_t i : wave) {
       const auto& job = query.jobs[i];
       MRJobSpec spec = build_common_job(job, profile, engine.dfs());
-      if (obs) obs->tracer.set_sim_now(wave_sim0);
       JobMetrics m = engine.run(spec);
       wave_wall = std::max(wave_wall, m.total_time_s());
       any_failed |= m.failed;
@@ -77,29 +64,13 @@ QueryRunResult run_translated(const TranslatedQuery& query, Engine& engine,
       }
     }
     out.metrics.wall_time_s += wave_wall;
-    if (obs) {
-      wave_span.sim(wave_sim0, wave_wall);
-      wave_span.arg("jobs", static_cast<std::uint64_t>(wave.size()));
-      obs->tracer.set_sim_now(wave_sim0 + wave_wall);
-      obs->events.emit(obs::EventLevel::Info, obs::EventCategory::Schedule,
-                       "wave-done", wave_sim0 + wave_wall,
-                       {{"wave", static_cast<std::uint64_t>(wave_idx - 1)},
-                        {"jobs", static_cast<std::uint64_t>(wave.size())},
-                        {"wave_sim_s", wave_wall}});
-      if (any_failed)
-        obs->events.emit(obs::EventLevel::Error, obs::EventCategory::Schedule,
-                         "query-abort", wave_sim0 + wave_wall,
-                         {{"pending_jobs", static_cast<std::uint64_t>(
-                               pending.size() - wave.size())}});
-    }
+    if (obs) obs->end_wave(wave_wall, any_failed, pending.size() - wave.size());
     std::vector<std::size_t> rest;
     for (std::size_t i : pending)
       if (std::find(wave.begin(), wave.end(), i) == wave.end())
         rest.push_back(i);
     pending = std::move(rest);
   }
-  if (obs::ObsContext* obs = engine.obs())
-    obs->samples.set_wall_time(out.metrics.wall_time_s);
 
   // A failed job (DNF) aborts the query: jobs still pending are never
   // scheduled and its outputs — present in the DFS only so standalone

@@ -86,28 +86,26 @@ TEST(SpaceSaving, TopBreaksCountTiesByAscendingKey) {
 
 TEST(TaskSampleStore, ImplicitGroupAndWaveStamping) {
   obs::TaskSampleStore store;
-  obs::JobTaskSamples j1;
-  j1.job_name = "standalone";
+  obs::JobRecord j1;
+  j1.metrics.job_name = "standalone";
   store.record_job(std::move(j1));  // no begin_query: implicit group
   EXPECT_EQ(store.query_count(), 1u);
   EXPECT_EQ(store.last_query().jobs.at(0).wave, -1);
 
   store.begin_query();
   store.set_current_wave(0);
-  obs::JobTaskSamples j2;
-  j2.job_name = "wave0";
+  obs::JobRecord j2;
+  j2.metrics.job_name = "wave0";
   store.record_job(std::move(j2));
   store.set_current_wave(1);
-  obs::JobTaskSamples j3;
-  j3.job_name = "wave1";
+  obs::JobRecord j3;
+  j3.metrics.job_name = "wave1";
   store.record_job(std::move(j3));
-  store.set_wall_time(12.5);
   EXPECT_EQ(store.query_count(), 2u);
   const auto q = store.last_query();
   ASSERT_EQ(q.jobs.size(), 2u);
   EXPECT_EQ(q.jobs[0].wave, 0);
   EXPECT_EQ(q.jobs[1].wave, 1);
-  EXPECT_DOUBLE_EQ(q.wall_time_s, 12.5);
   EXPECT_EQ(store.total_jobs(), 3u);
 }
 
@@ -156,7 +154,7 @@ TEST(AnalyzerSkew, HotKeyIsTopHeavyHitterAndDiagnosed) {
   ASSERT_EQ(obs.samples.query_count(), 1u);
   const obs::QueryTaskSamples q = obs.samples.last_query();
   ASSERT_EQ(q.jobs.size(), 1u);
-  const obs::JobTaskSamples& js = q.jobs[0];
+  const obs::JobRecord& js = q.jobs[0];
   EXPECT_EQ(js.wave, -1);  // standalone engine run: no DAG executor
 
   // The hot key tops the merged sketch, with the overestimate bracket
@@ -215,7 +213,6 @@ TEST(AnalyzerCriticalPath, SerialSubmissionEqualsWallTimeExactly) {
   ASSERT_GT(run.metrics.job_count(), 1);
 
   const obs::QueryTaskSamples q = obs.samples.last_query();
-  EXPECT_EQ(q.wall_time_s, run.metrics.wall_time_s);
   const obs::AnalyzerReport rep = analyze_query(q);
   ASSERT_EQ(rep.jobs.size(), static_cast<std::size_t>(run.metrics.job_count()));
   // Bit-exact double equality, not approximate: the analyzer replays the

@@ -141,8 +141,9 @@ TEST(ClusterView, TimelineReplayReproducesPhaseMakespansExactly) {
   ASSERT_EQ(rep.jobs.size(), out.samples.jobs.size());
   int map_events = 0;
   for (std::size_t ji = 0; ji < out.samples.jobs.size(); ++ji) {
-    const obs::JobTaskSamples& js = out.samples.jobs[ji];
-    const double map_start = rep.jobs[ji].start_s + js.sched_delay_s;
+    const obs::JobRecord& js = out.samples.jobs[ji];
+    const JobMetrics& jm = js.metrics;
+    const double map_start = rep.jobs[ji].start_s + jm.sched_delay_s;
     for (const auto& ev : rep.timeline) {
       if (ev.job != static_cast<int>(ji)) continue;
       // Lanes stay within the cluster and events within the job's span.
@@ -157,13 +158,13 @@ TEST(ClusterView, TimelineReplayReproducesPhaseMakespansExactly) {
     // The replay runs the same LPT fold over the same values as
     // CostModel::makespan, relative to the phase start — so the phase
     // makespan matches bit-for-bit, not approximately.
-    EXPECT_EQ(rep.jobs[ji].map_replay_s, js.map_time_s) << js.job_name;
+    EXPECT_EQ(rep.jobs[ji].map_replay_s, jm.map_time_s) << jm.job_name;
     if (!js.map_only && !js.reduce_tasks.empty() &&
-        js.target_reduce_tasks == js.reduce_tasks.size()) {
+        jm.reduce.tasks == js.reduce_tasks.size()) {
       // Unexpanded reduce phases replay exactly too; expansion-scaled
       // phases replay only the simulated partitions (documented).
-      EXPECT_EQ(rep.jobs[ji].reduce_replay_s, js.reduce_time_s)
-          << js.job_name;
+      EXPECT_EQ(rep.jobs[ji].reduce_replay_s, jm.reduce_time_s)
+          << jm.job_name;
     }
   }
   // Every map task got a timeline event.
@@ -216,15 +217,15 @@ TEST(ClusterView, ChromeEventsCarryPid3AndTheSimOffset) {
 obs::QueryTaskSamples synthetic_query(int nodes, int map_tasks,
                                       int partitions) {
   obs::QueryTaskSamples q;
-  obs::JobTaskSamples js;
-  js.job_name = "JOB1";
+  obs::JobRecord js;
+  js.metrics.job_name = "JOB1";
   js.wave = 0;
   js.worker_nodes = nodes;
   js.map_slots = nodes;
   js.reduce_slots = nodes;
-  js.map_time_s = 10;
-  js.reduce_time_s = 5;
-  js.target_reduce_tasks = static_cast<std::uint64_t>(partitions);
+  js.metrics.map_time_s = 10;
+  js.metrics.reduce_time_s = 5;
+  js.metrics.reduce.tasks = static_cast<std::uint64_t>(partitions);
   std::vector<std::uint64_t> col(static_cast<std::size_t>(partitions), 0);
   for (int i = 0; i < map_tasks; ++i) {
     obs::TaskSample t;
@@ -249,7 +250,6 @@ obs::QueryTaskSamples synthetic_query(int nodes, int map_tasks,
     js.reduce_tasks.push_back(std::move(t));
   }
   q.jobs.push_back(std::move(js));
-  q.wall_time_s = 15;
   return q;
 }
 

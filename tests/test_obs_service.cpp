@@ -288,6 +288,29 @@ TEST(QueryHistory, JsonExportParsesAndTableRenders) {
 
 // ---- progress tracker ----
 
+/// A completed job's record: one map sample per entry of `map_s` and one
+/// reduce partition sample per entry of `reduce_s` (none: map-only).
+obs::JobRecord job_record(const std::string& name, std::vector<double> map_s,
+                          std::vector<double> reduce_s, double total_s) {
+  obs::JobRecord job;
+  job.metrics.job_name = name;
+  job.metrics.map_time_s = total_s;
+  job.map_only = reduce_s.empty();
+  for (double t : map_s) {
+    obs::TaskSample s;
+    s.index = static_cast<int>(job.map_tasks.size());
+    s.sim_seconds = t;
+    job.map_tasks.push_back(s);
+  }
+  for (double t : reduce_s) {
+    obs::TaskSample s;
+    s.index = static_cast<int>(job.reduce_tasks.size());
+    s.sim_seconds = t;
+    job.reduce_tasks.push_back(s);
+  }
+  return job;
+}
+
 TEST(Progress, TracksQueryLifecycleMonotonically) {
   obs::ProgressTracker tracker;
   std::vector<std::size_t> tasks_done_seen;
@@ -295,27 +318,30 @@ TEST(Progress, TracksQueryLifecycleMonotonically) {
     tasks_done_seen.push_back(s.tasks_done());
   });
   tracker.begin_query("SELECT 1", "ysmart", 2);
-  tracker.begin_wave(0, 1);
-  tracker.begin_job("JOIN1", /*map_only=*/false, 3, 2);
-  tracker.task_done(false, 1.0);
-  tracker.task_done(false, 2.0);
-  tracker.task_done(false, 3.0);
-  tracker.phase_done(false, 1);
-  tracker.task_done(true, 4.0);
-  tracker.task_done(true, 4.0);
-  tracker.phase_done(true, 0);
-  tracker.job_done(false, 10.0);
+  tracker.begin_wave(0);
+  // Map task 2 runs above twice the lower median (1.0): one straggler.
+  tracker.job_done(job_record("JOIN1", {1.0, 1.0, 5.0}, {3.5, 3.5}, 10.0));
 
   obs::ProgressSnapshot s = tracker.snapshot();
   EXPECT_TRUE(s.active);
   EXPECT_EQ(s.jobs_done, 1u);
   EXPECT_EQ(s.total_jobs, 2u);
   EXPECT_EQ(s.tasks_done(), 5u);
-  EXPECT_EQ(s.tasks_total(), 5u);
   ASSERT_EQ(s.jobs.size(), 1u);
+  EXPECT_EQ(s.jobs[0].map.tasks, 3u);
+  EXPECT_EQ(s.jobs[0].reduce.tasks, 2u);
   EXPECT_EQ(s.jobs[0].map.stragglers, 1);
+  EXPECT_EQ(s.jobs[0].reduce.stragglers, 0);
   EXPECT_DOUBLE_EQ(s.sim_done_s, 14.0);
-  EXPECT_GE(s.eta_s, 0);  // one job of two left
+  EXPECT_DOUBLE_EQ(s.eta_s, 10.0);  // one job of two left, mean job 10 s
+
+  tracker.begin_wave(1);
+  tracker.job_done(job_record("AGG1", {2.0}, {}, 2.0));
+  s = tracker.snapshot();
+  EXPECT_EQ(s.jobs_done, 2u);
+  EXPECT_EQ(s.tasks_done(), 6u);
+  EXPECT_EQ(s.waves_done, 2);
+  EXPECT_DOUBLE_EQ(s.eta_s, 0.0);
 
   tracker.end_query(false, 12.0);
   s = tracker.snapshot();
@@ -325,19 +351,18 @@ TEST(Progress, TracksQueryLifecycleMonotonically) {
   // Callbacks observed tasks_done never decreasing within the query.
   for (std::size_t i = 1; i < tasks_done_seen.size(); ++i)
     EXPECT_GE(tasks_done_seen[i], tasks_done_seen[i - 1]);
-  EXPECT_FALSE(tasks_done_seen.empty());
+  EXPECT_EQ(tasks_done_seen.size(), 6u);  // query, 2 waves, 2 jobs, end
 }
 
 TEST(Progress, EtaStaysFiniteWithZeroCostTasksAndRendersClean) {
-  // Every completed task reported 0 simulated seconds (a legal cost-model
-  // outcome for empty inputs). The mean-task estimate divides by the task
-  // count, not the seconds, so eta must come out 0 — never NaN/inf.
+  // A completed job whose tasks all cost 0 simulated seconds (a legal
+  // cost-model outcome for empty inputs). The mean-job estimate divides
+  // by the job count, not the seconds, so eta must come out 0 — never
+  // NaN/inf.
   obs::ProgressTracker tracker;
   tracker.begin_query("SELECT 1", "ysmart", 2);
-  tracker.begin_wave(0, 1);
-  tracker.begin_job("J1", /*map_only=*/false, 2, 1);
-  tracker.task_done(false, 0.0);
-  tracker.task_done(false, 0.0);
+  tracker.begin_wave(0);
+  tracker.job_done(job_record("J1", {0.0, 0.0}, {0.0}, 0.0));
   const obs::ProgressSnapshot s = tracker.snapshot();
   ASSERT_TRUE(std::isfinite(s.eta_s)) << s.eta_s;
   EXPECT_DOUBLE_EQ(s.eta_s, 0.0);
@@ -346,14 +371,13 @@ TEST(Progress, EtaStaysFiniteWithZeroCostTasksAndRendersClean) {
   EXPECT_EQ(out.find("inf"), std::string::npos) << out;
 }
 
-TEST(Progress, EtaUnknownBeforeAnyTaskCompletes) {
-  // A started job with zero completed tasks has no basis for an estimate:
+TEST(Progress, EtaUnknownBeforeAnyJobCompletes) {
+  // A running query with no completed job has no basis for an estimate:
   // eta stays at the "unknown" sentinel (-1) and the render shows neither
   // an eta line nor NaN garbage.
   obs::ProgressTracker tracker;
   tracker.begin_query("SELECT 1", "ysmart", 1);
-  tracker.begin_wave(0, 1);
-  tracker.begin_job("J1", /*map_only=*/false, 4, 2);
+  tracker.begin_wave(0);
   const obs::ProgressSnapshot s = tracker.snapshot();
   EXPECT_DOUBLE_EQ(s.eta_s, -1.0);
   const std::string out = s.render();
@@ -362,13 +386,13 @@ TEST(Progress, EtaUnknownBeforeAnyTaskCompletes) {
 }
 
 TEST(Progress, EtaRejectsNonFiniteSimSecondsInput) {
-  // Defensive path: poisoned sim_seconds (inf) must not leak into eta_s
-  // or the rendered text — the snapshot keeps eta at "unknown" instead.
+  // Defensive path: a poisoned simulated time (inf) must not leak into
+  // eta_s or the rendered text — the snapshot keeps eta at "unknown".
+  const double inf = std::numeric_limits<double>::infinity();
   obs::ProgressTracker tracker;
   tracker.begin_query("SELECT 1", "ysmart", 3);
-  tracker.begin_wave(0, 1);
-  tracker.begin_job("J1", /*map_only=*/false, 3, 1);
-  tracker.task_done(false, std::numeric_limits<double>::infinity());
+  tracker.begin_wave(0);
+  tracker.job_done(job_record("J1", {inf}, {1.0}, inf));
   const obs::ProgressSnapshot s = tracker.snapshot();
   EXPECT_FALSE(std::isfinite(s.eta_s) && s.eta_s >= 0)
       << "eta must not be a finite estimate built from inf input";
@@ -379,14 +403,26 @@ TEST(Progress, EtaRejectsNonFiniteSimSecondsInput) {
 TEST(Progress, RenderMentionsStateAndJobs) {
   obs::ProgressTracker tracker;
   EXPECT_NE(tracker.snapshot().render().find("no query"), std::string::npos);
-  tracker.begin_query("SELECT x FROM t", "hive", 1);
-  tracker.begin_wave(0, 1);
-  tracker.begin_job("AGG1", false, 2, 1);
-  tracker.task_done(false, 1.0);
+  tracker.begin_query("SELECT x FROM t", "hive", 2);
+  tracker.begin_wave(0);
+  obs::JobRecord agg = job_record("AGG1", {1.0, 1.0}, {1.0}, 2.0);
+  agg.metrics.failed = true;
+  tracker.job_done(agg);
+  tracker.begin_wave(1);
+  tracker.job_done(job_record("SCAN1", {1.0}, {}, 1.0));
+  EXPECT_EQ(tracker.snapshot().render(),
+            "query: SELECT x FROM t  (profile hive)\n"
+            "state: RUNNING  wave 1  jobs 2/2  tasks 4/4\n"
+            "  [w0] AGG1                         map    2/2    reduce    1/1"
+            "    FAILED\n"
+            "  [w1] SCAN1                        map    1/1    done\n"
+            "sim progress: 4.0s of completed tasks; eta ~0.0s simulated\n");
+  tracker.end_query(true, 3.0);
   const std::string out = tracker.snapshot().render();
-  EXPECT_NE(out.find("SELECT x FROM t"), std::string::npos);
-  EXPECT_NE(out.find("AGG1"), std::string::npos);
-  EXPECT_NE(out.find("hive"), std::string::npos);
+  EXPECT_NE(out.find("state: DNF  wave 2  jobs 2/2  tasks 4/4"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("modeled elapsed 3.0s"), std::string::npos) << out;
 }
 
 // ---- Prometheus exposition ----

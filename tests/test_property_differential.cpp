@@ -138,6 +138,7 @@ TEST_P(DifferentialTest, MapReduceMatchesReference) {
   db.create_table("d", random_dim(seed, 60));
 
   Table expected = db.run_reference(sql);
+  int ysmart_jobs = -1;
   for (const auto& profile :
        {TranslatorProfile::ysmart(), TranslatorProfile::hive(),
         TranslatorProfile::pig(), TranslatorProfile::mrshare()}) {
@@ -148,6 +149,12 @@ TEST_P(DifferentialTest, MapReduceMatchesReference) {
         << run.result->row_count() << "\nexpected:\n"
         << expected.to_string(8) << "got:\n"
         << run.result->to_string(8);
+    // Metamorphic check: YSmart's correlation merging never needs more
+    // jobs than a one-operation-to-one-job translation of the same query.
+    if (profile.name == "ysmart")
+      ysmart_jobs = run.metrics.job_count();
+    else
+      EXPECT_LE(ysmart_jobs, run.metrics.job_count()) << sql;
   }
 }
 

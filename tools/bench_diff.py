@@ -3,18 +3,20 @@
 
 The regression gate for simulated query times: BENCH_baseline.json pins
 each (bench, query, profile) run's `sim.total_s`, and CI fails when a
-fresh report exceeds its baseline by more than the tolerance. Simulated
-seconds are a pure function of the cost model and the data — fully
-deterministic, no host noise — so any drift is a real modeling or engine
-change and must be acknowledged by regenerating the baseline in the same
-commit:
+fresh report differs from its baseline by more than the tolerance, in
+either direction (default: a relative 1e-9, i.e. exact up to the last
+printed digits). Simulated seconds are a pure function of the cost model
+and the data — fully deterministic, no host noise — so any drift, slower
+or faster, is a real modeling or engine change and must be acknowledged
+by regenerating the baseline in the same commit:
 
     ./build/bench/fig10_small_cluster --json BENCH_fig10.json
     ./build/bench/fig09_q21_breakdown --json BENCH_fig09.json
     python3 tools/bench_diff.py --update BENCH_fig10.json BENCH_fig09.json
 
-Standard library only. Exit codes: 0 ok, 1 regression (or a failed/DNF
-record that was not failed in the baseline), 2 usage error.
+Standard library only. Exit codes: 0 ok, 1 regression, unblessed
+improvement, missing run, or a failed/DNF record that was not failed in
+the baseline; 2 usage error.
 
 --update --only <run-id> refreshes just the matching baseline entries
 (run-id is bench, bench/query or bench/query/profile) and keeps every
@@ -82,8 +84,8 @@ def main(argv):
     )
     ap.add_argument("--baseline", default=DEFAULT_BASELINE)
     ap.add_argument(
-        "--tolerance", type=float, default=0.05,
-        help="allowed fractional sim-time increase (default 0.05 = 5%%)",
+        "--tolerance", type=float, default=1e-9,
+        help="allowed relative sim-time change either way (default 1e-9)",
     )
     ap.add_argument(
         "--write-diff", metavar="PATH",
@@ -200,18 +202,21 @@ def main(argv):
 
     for row in regressions:
         print(
-            f"REGRESSION {row['run']}: {row['baseline_s']:.3f}s -> "
-            f"{row['fresh_s']:.3f}s ({(row['ratio'] - 1) * 100:+.1f}%)",
+            f"REGRESSION {row['run']}: {row['baseline_s']:.6f}s -> "
+            f"{row['fresh_s']:.6f}s ({(row['ratio'] - 1) * 100:+.4f}%)",
             file=sys.stderr,
         )
     for name in failures:
         print(f"NEW FAILURE {name}: run failed (DNF) but baseline succeeded",
               file=sys.stderr)
     for row in improvements:
+        # Faster is still drift: an unacknowledged change to the model.
         print(
-            f"improvement {row['run']}: {row['baseline_s']:.3f}s -> "
-            f"{row['fresh_s']:.3f}s ({(row['ratio'] - 1) * 100:+.1f}%) — "
-            "consider refreshing the baseline"
+            f"UNBLESSED IMPROVEMENT {row['run']}: {row['baseline_s']:.6f}s -> "
+            f"{row['fresh_s']:.6f}s ({(row['ratio'] - 1) * 100:+.4f}%) — "
+            "refresh the baseline with --update in the commit that "
+            "causes it",
+            file=sys.stderr,
         )
     for name in new:
         print(f"note: {name} has no baseline entry (new run?)")
@@ -225,12 +230,12 @@ def main(argv):
             file=sys.stderr,
         )
 
-    ok = not regressions and not failures and not missing
+    ok = not regressions and not improvements and not failures and not missing
     print(
         f"bench_diff: {len(fresh)} runs compared, {len(regressions)} "
         f"regression(s), {len(failures)} new failure(s), "
-        f"{len(missing)} missing run(s), {len(improvements)} improvement(s) "
-        f"(tolerance {args.tolerance * 100:.0f}%)"
+        f"{len(missing)} missing run(s), {len(improvements)} unblessed "
+        f"improvement(s) (relative tolerance {args.tolerance:g})"
     )
     return 0 if ok else 1
 

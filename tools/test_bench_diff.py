@@ -8,6 +8,8 @@ stopped checking something). Run directly or via ctest:
 
     python3 tools/test_bench_diff.py
 """
+import contextlib
+import io
 import json
 import os
 import sys
@@ -46,12 +48,14 @@ class BenchDiffTest(unittest.TestCase):
         return p
 
     def run_diff(self, baseline_entries, fresh_reports, tolerance=0.05):
+        """tolerance=None runs the gate at its default tolerance."""
         baseline = self.path(
             "baseline.json", bench_diff.entries_to_baseline(baseline_entries)
         )
-        argv = ["bench_diff.py", "--baseline", baseline,
-                "--tolerance", str(tolerance)] + fresh_reports
-        return bench_diff.main(argv)
+        argv = ["bench_diff.py", "--baseline", baseline]
+        if tolerance is not None:
+            argv += ["--tolerance", str(tolerance)]
+        return bench_diff.main(argv + fresh_reports)
 
     @staticmethod
     def entry(total, failed=False):
@@ -66,6 +70,45 @@ class BenchDiffTest(unittest.TestCase):
         base = {("b", "q1", "ysmart"): self.entry(10.0)}
         fresh = self.path("fresh.json", report("b", [("q1", "ysmart", 12.0, False)]))
         self.assertEqual(self.run_diff(base, [fresh]), 1)
+
+    def test_default_gate_is_exact_for_a_slower_run(self):
+        base = {("b", "q1", "ysmart"): self.entry(246.819241691436)}
+        # +1e-7 relative: far below any printed figure, far above 1e-9.
+        slower = self.path(
+            "fresh.json",
+            report("b", [("q1", "ysmart", 246.819241691436 * (1 + 1e-7), False)]),
+        )
+        self.assertEqual(self.run_diff(base, [slower], tolerance=None), 1)
+
+    def test_default_gate_fails_an_unblessed_improvement(self):
+        # Faster is drift too: the baseline must be refreshed with it.
+        base = {("b", "q1", "ysmart"): self.entry(246.819241691436)}
+        faster = self.path(
+            "fresh.json",
+            report("b", [("q1", "ysmart", 246.819241691436 * (1 - 1e-7), False)]),
+        )
+        self.assertEqual(self.run_diff(base, [faster], tolerance=None), 1)
+
+    def test_default_gate_passes_within_relative_1e9(self):
+        base = {("b", "q1", "ysmart"): self.entry(1000.0)}
+        fresh = self.path(
+            "fresh.json",
+            report("b", [("q1", "ysmart", 1000.0 * (1 + 1e-12), False)]),
+        )
+        self.assertEqual(self.run_diff(base, [fresh], tolerance=None), 0)
+
+    def test_improvement_beyond_explicit_tolerance_fails(self):
+        base = {("b", "q1", "ysmart"): self.entry(10.0)}
+        fresh = self.path("fresh.json", report("b", [("q1", "ysmart", 8.0, False)]))
+        self.assertEqual(self.run_diff(base, [fresh]), 1)
+
+    def test_summary_names_the_relative_tolerance(self):
+        base = {("b", "q1", "ysmart"): self.entry(10.0)}
+        fresh = self.path("fresh.json", report("b", [("q1", "ysmart", 10.0, False)]))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(self.run_diff(base, [fresh], tolerance=None), 0)
+        self.assertIn("(relative tolerance 1e-09)", out.getvalue())
 
     def test_new_run_is_informational(self):
         base = {("b", "q1", "ysmart"): self.entry(10.0)}
