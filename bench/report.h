@@ -2,7 +2,7 @@
 //
 // Every figure bench accepts
 //
-//   fig10_small_cluster --json BENCH_fig10.json --trace fig10.trace.json \
+//   fig10_small_cluster --json BENCH_fig10.json --trace fig10.trace.json
 //                       --analyze fig10.analysis.json
 //
 // --json writes one JSON document (schema: bench/bench_schema.json,

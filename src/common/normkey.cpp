@@ -26,7 +26,7 @@ constexpr unsigned char kNumNeg = 0x01;
 constexpr unsigned char kNumZero = 0x02;
 constexpr unsigned char kNumPos = 0x03;
 constexpr unsigned char kNumPosInf = 0x04;
-constexpr unsigned char kNumNan = 0x05;  // defined order: NaN last
+constexpr unsigned char kNumNan = 0x05;  // compare_double: NaN last
 
 // Exponent bias for the payload: exponents span [-1074, 1023] (doubles
 // down to the smallest subnormal) plus [0, 63] (int64), so +1100 keeps
@@ -207,10 +207,7 @@ void append_norm_key(const Value& v, std::string& out) {
       const double d = v.as_double();
       out.push_back(static_cast<char>(kTagNumeric));
       if (std::isnan(d)) {
-        // compare_rows treats NaN as incomparable ("equal" to any
-        // numeric); the encoding gives it a defined slot above +inf so
-        // the byte order stays total. SQL expressions never produce NaN
-        // keys, so the difference is unobservable in the engine.
+        // Every NaN payload is one key above +inf, as in compare_double.
         out.push_back(static_cast<char>(kNumNan));
         return;
       }

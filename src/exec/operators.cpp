@@ -1,7 +1,7 @@
 #include "exec/operators.h"
 
 #include <algorithm>
-#include <cmath>
+#include <map>
 #include <numeric>
 
 #include "common/error.h"
@@ -201,12 +201,10 @@ std::uint32_t find_or_add(Index& index, const Key& k, std::size_t live,
 
 }  // namespace
 
-// Every strategy keeps the first-seen key of a group and merges exactly
-// the keys compare_rows calls equal. RowHash agrees with compare_rows
-// except on NaN cells (NaN compares "equal" to any numeric but hashes
-// like itself), so NaN-keyed input goes through the ordered map the
-// comparison defines; single all-int64 keys skip building key rows.
-std::uint32_t PreparedAgg::group_of(const Row& r, bool nan_keys, bool int_keys,
+// Both strategies keep the first-seen key of a group and merge exactly
+// the keys compare_rows calls equal (RowHash agrees with it); single
+// all-int64 keys skip building key rows.
+std::uint32_t PreparedAgg::group_of(const Row& r, bool int_keys,
                                     Scratch& s) const {
   if (group_idx_.empty()) {
     if (s.live == 0) add_group(s).key.clear();
@@ -219,9 +217,7 @@ std::uint32_t PreparedAgg::group_of(const Row& r, bool nan_keys, bool int_keys,
   }
   s.key.clear();
   for (auto i : group_idx_) s.key.push_back(r.at(i));
-  auto add_key = [&] { add_group(s).key = s.key; };
-  if (nan_keys) return find_or_add(s.ordered_index, s.key, s.live, add_key);
-  return find_or_add(s.index, s.key, s.live, add_key);
+  return find_or_add(s.index, s.key, s.live, [&] { add_group(s).key = s.key; });
 }
 
 void PreparedAgg::run(RowRefs in, Scratch& s, std::vector<Row>& out) const {
@@ -230,23 +226,15 @@ void PreparedAgg::run(RowRefs in, Scratch& s, std::vector<Row>& out) const {
   // clear() touches every bucket, so only clear what the last run used.
   if (!s.index.empty()) s.index.clear();
   if (!s.int_index.empty()) s.int_index.clear();
-  if (!s.ordered_index.empty()) s.ordered_index.clear();
 
   // Counter-free pre-scan choosing the group-lookup strategy.
-  bool nan_keys = false;
   bool int_keys = group_idx_.size() == 1;
-  for (std::size_t k = 0; k < in.size() && !nan_keys; ++k) {
-    for (auto i : group_idx_) {
-      const Value& v = in[k].at(i);
-      const ValueType vt = v.type();
-      if (vt != ValueType::Int) int_keys = false;
-      if (vt == ValueType::Double && std::isnan(v.as_double())) nan_keys = true;
-    }
-  }
+  for (std::size_t k = 0; k < in.size() && int_keys; ++k)
+    int_keys = in[k].at(group_idx_[0]).type() == ValueType::Int;
 
   for (std::size_t k = 0; k < in.size(); ++k) {
     const Row& r = in[k];
-    auto& states = s.groups[group_of(r, nan_keys, int_keys, s)].states;
+    auto& states = s.groups[group_of(r, int_keys, s)].states;
     for (std::size_t i = 0; i < aggs_.size(); ++i) {
       if (aggs_[i].star)
         states[i].add_int(1);
@@ -257,20 +245,16 @@ void PreparedAgg::run(RowRefs in, Scratch& s, std::vector<Row>& out) const {
   // Global aggregation over empty input still yields one group.
   if (s.live == 0 && group_idx_.empty()) add_group(s).key.clear();
 
+  // Keys are pairwise distinct under compare_rows, so this is group-key
+  // order.
   s.order.clear();
-  if (nan_keys) {
-    for (const auto& [key, g] : s.ordered_index) s.order.push_back(g);
-  } else {
-    s.order.resize(s.live);
-    std::iota(s.order.begin(), s.order.end(), 0u);
-    // Keys are pairwise distinct under compare_rows, so this is the
-    // ordered map's iteration order.
-    if (s.live > 1)
-      std::sort(s.order.begin(), s.order.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return compare_rows(s.groups[a].key, s.groups[b].key) < 0;
-                });
-  }
+  s.order.resize(s.live);
+  std::iota(s.order.begin(), s.order.end(), 0u);
+  if (s.live > 1)
+    std::sort(s.order.begin(), s.order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return compare_rows(s.groups[a].key, s.groups[b].key) < 0;
+              });
   for (const std::uint32_t g : s.order)
     finish_group(s.groups[g].key, s.groups[g].states, s.internal, out);
 }
@@ -300,8 +284,8 @@ PreparedSort::PreparedSort(const PlanNode& sort) : limit_(sort.limit) {
 // Keys are evaluated once per row up front. std::stable_sort's sequence
 // of comparisons and moves depends only on the element count and the
 // comparator's answers, and these answers are the ones the per-comparison
-// evaluation gave, so the permutation is that order exactly — NaN and
-// mixed Int/Double keys included.
+// evaluation gave, so the permutation is that order exactly — mixed
+// Int/Double keys included.
 void PreparedSort::order(RowRefs in, Scratch& s) const {
   const std::size_t n = in.size();
   s.perm.resize(n);

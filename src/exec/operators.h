@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -113,7 +112,6 @@ class PreparedAgg {
     // Group lookup: one index per key kind, see group_of.
     std::unordered_map<Row, std::uint32_t, RowHash, RowEq> index;
     std::unordered_map<std::int64_t, std::uint32_t> int_index;
-    std::map<Row, std::uint32_t, RowLess> ordered_index;  // NaN keys
     std::vector<std::uint32_t> order;
     Row key, internal;
   };
@@ -128,8 +126,7 @@ class PreparedAgg {
 
  private:
   Scratch::Group& add_group(Scratch& s) const;
-  std::uint32_t group_of(const Row& r, bool nan_keys, bool int_keys,
-                         Scratch& s) const;
+  std::uint32_t group_of(const Row& r, bool int_keys, Scratch& s) const;
 
   std::vector<AggCall> aggs_;
   std::vector<std::size_t> group_idx_;

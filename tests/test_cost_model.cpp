@@ -127,7 +127,7 @@ TEST(TagEncoding, SingleJobPaysNothing) {
 }
 
 TEST(KeyValue, ByteSizeIncludesTags) {
-  KeyValue kv{{Value{1}}, {Value{2}}, 0, 0};
+  KeyValue kv{{Value{1}}, {Value{2}}, 0, 0, {}};
   const auto plain = kv_byte_size(kv, 1, TagEncoding::ExcludeList);
   const auto merged = kv_byte_size(kv, 4, TagEncoding::ExcludeList);
   EXPECT_GT(merged, plain);
@@ -145,9 +145,9 @@ TEST(KeyValue, VisibleTo) {
 }
 
 TEST(KeyValue, SortOrder) {
-  KeyValue a{{Value{1}}, {}, 1, 0};
-  KeyValue b{{Value{1}}, {}, 0, 0};
-  KeyValue c{{Value{2}}, {}, 0, 0};
+  KeyValue a{{Value{1}}, {}, 1, 0, {}};
+  KeyValue b{{Value{1}}, {}, 0, 0, {}};
+  KeyValue c{{Value{2}}, {}, 0, 0, {}};
   EXPECT_TRUE(kv_less(b, a));  // same key, lower source first
   EXPECT_TRUE(kv_less(a, c));
 }

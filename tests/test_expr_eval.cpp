@@ -102,6 +102,13 @@ TEST(ExprEval, AggregateCallThrowsAtBind) {
   EXPECT_THROW(BoundExpr(parse_expression("sum(a)"), abc()), PlanError);
 }
 
+TEST(ExprEval, UnknownOperatorThrowsAtBind) {
+  EXPECT_THROW(BoundExpr(Expr::make_binary("%", Expr::make_column("a"),
+                                           Expr::make_literal(Value{2})),
+                         abc()),
+               PlanError);
+}
+
 TEST(ExprEval, LiteralOnly) {
   EXPECT_EQ(ev("41 + 1").as_int(), 42);
   EXPECT_EQ(ev("'abc'").as_string(), "abc");

@@ -56,8 +56,8 @@ const std::vector<std::int64_t>& int_pool() {
 }
 
 /// Curated Double pool: signed zeros, infinities, subnormals, values
-/// adjacent to the 2^53 integer boundary, and tiny negatives (the case
-/// that breaks naive floor-plus-fraction encodings).
+/// adjacent to the 2^53 integer boundary, tiny negatives (the case that
+/// breaks naive floor-plus-fraction encodings) and NaN of either sign.
 const std::vector<double>& double_pool() {
   static const std::vector<double> pool = {
       0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1.5, -1.5,
@@ -75,6 +75,8 @@ const std::vector<double>& double_pool() {
       9.223372036854776e18,   // just above 2^63
       -9.223372036854776e18,  // at/below -2^63
       1e-300, -1e-300, 1e300, -1e300, 3.141592653589793,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
   };
   return pool;
 }
@@ -103,16 +105,10 @@ Value random_value(Rng& rng) {
     case 5:
       return Value{double_pool()[static_cast<std::size_t>(rng.uniform(
           0, static_cast<std::int64_t>(double_pool().size()) - 1))]};
-    case 6: {
-      // Random finite double from raw bits (covers subnormals and the
-      // full exponent range; NaN excluded — compare_rows treats it as
-      // incomparable, so the order property does not apply to it).
-      double d;
-      do {
-        d = std::bit_cast<double>(rng.next());
-      } while (std::isnan(d));
-      return Value{d};
-    }
+    case 6:
+      // Random double from raw bits: subnormals, the full exponent
+      // range and (rarely) NaN payloads of either sign.
+      return Value{std::bit_cast<double>(rng.next())};
     case 7:
       return Value{string_pool()[static_cast<std::size_t>(rng.uniform(
           0, static_cast<std::int64_t>(string_pool().size()) - 1))]};
@@ -149,7 +145,9 @@ TEST(NormKey, OrderMatchesCompareRowsOnRandomPairs) {
     ASSERT_EQ(got, want) << "iter " << iter << ": " << row_to_string(a)
                          << " vs " << row_to_string(b);
     ASSERT_EQ(ea == eb, want == 0);
-    if (want == 0) ASSERT_EQ(norm_key_hash(ea), norm_key_hash(eb));
+    if (want == 0) {
+      ASSERT_EQ(norm_key_hash(ea), norm_key_hash(eb));
+    }
   }
 }
 

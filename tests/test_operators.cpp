@@ -223,9 +223,8 @@ bool same_bits(const Row& a, const Row& b) {
 
 // One Scratch serving many runs, as in a reduce task, must give what a
 // fresh operator gives each time: with int keys (int64 index), string
-// keys (hash index) and NaN keys (ordered index), at sizes below and
-// across batch boundaries, over rows gathered by pointer in an arbitrary
-// order.
+// and NaN keys (hash index), at sizes below and across batch
+// boundaries, over rows gathered by pointer in an arbitrary order.
 TEST(PreparedOperators, ReusedScratchOverGatheredRowsMatchesOneShot) {
   Catalog c;
   c.register_table("t", xy());
@@ -290,8 +289,7 @@ TEST(PreparedOperators, ReusedScratchOverGatheredRowsMatchesOneShot) {
 
 // sort_rows evaluates each key once per row; the order must be exactly
 // the one std::stable_sort gives when the keys are evaluated inside the
-// comparator — even where the comparison is not a strict weak order (NaN
-// compares "equal" to every numeric) and for mixed Int/Double keys.
+// comparator — NaN, ±0.0 and mixed Int/Double keys included.
 std::vector<Row> sort_rows_evaluating_in_comparator(const PlanNode& sort,
                                                     std::vector<Row> in) {
   const Schema& child = sort.children[0]->output_schema;

@@ -3,11 +3,17 @@
 // simulated MapReduce execution under every translator profile must
 // produce exactly the reference engine's rows.
 //
-// Parameterized over (data seed x query template) via TEST_P.
+// Parameterized over (data seed x query template) via TEST_P; a second
+// suite pins NaN, ±0.0 and ±inf keys at host pool sizes 1 and 8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "api/database.h"
+#include "common/normkey.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace ysmart {
 namespace {
@@ -215,6 +221,87 @@ TEST_P(FeatureMatrixTest, FeatureCombinationsPreserveResults) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCombos, FeatureMatrixTest, ::testing::Range(0, 16));
+
+// NaN, ±0.0 and ±inf keys have one meaning in every path: refdb, the
+// map and reduce operators, the batch kernels and the shuffle all order
+// numbers by compare_double (-0.0 = +0.0, NaN = NaN, NaN above +inf).
+std::shared_ptr<Table> edge_double_fact(int rows) {
+  Schema s;
+  s.add("k", ValueType::Int);
+  s.add("d", ValueType::Double);
+  s.add("i", ValueType::Int);
+  auto t = std::make_shared<Table>(s);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Value ds[] = {Value{0.0}, Value{-0.0}, Value{nan},  Value{-nan},
+                      Value{1.5}, Value{inf},  Value{-inf}, Value::null()};
+  Rng rng(16);
+  for (int r = 0; r < rows; ++r)
+    t->append({Value{rng.uniform(0, 5)}, ds[rng.uniform(0, 7)],
+               r % 3 == 0 ? Value{std::numeric_limits<std::int64_t>::max()}
+                          : Value{rng.uniform(-9, 9)}});
+  return t;
+}
+
+const char* kEdgeDoubleQueries[] = {
+    "SELECT d, count(*) AS n FROM f GROUP BY d",
+    "SELECT a.k, count(*) AS n FROM f AS a, f AS b "
+    "WHERE a.d = b.d AND a.k = b.k GROUP BY a.k",
+    "SELECT k, min(d) AS lo, max(d) AS hi FROM f GROUP BY k",
+    "SELECT d, k FROM f ORDER BY d, k LIMIT 12",
+    "SELECT d, k FROM f ORDER BY d DESC, k LIMIT 12",
+    "SELECT k, d, i FROM f WHERE d > 1",
+    "SELECT k, d, i FROM f WHERE d = d",
+};
+
+/// The rows of `t` as normalized keys, which tell NaN from every number
+/// (so a NaN that a looser comparison calls "equal" to 1.5 still shows),
+/// sorted unless the query's order is part of its result.
+std::vector<std::string> row_keys(const Table& t, bool ordered) {
+  std::vector<std::string> keys;
+  for (const Row& r : t.rows()) keys.push_back(encode_norm_key(r));
+  if (!ordered) std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+using EdgeParam = std::tuple<int, int>;  // (query idx, pool size)
+
+class EdgeDoubleTest : public ::testing::TestWithParam<EdgeParam> {};
+
+TEST_P(EdgeDoubleTest, EveryProfileMatchesReference) {
+  const auto [query_idx, pool_size] = GetParam();
+  const std::string sql = kEdgeDoubleQueries[query_idx];
+  const bool ordered = sql.find("ORDER BY") != std::string::npos;
+
+  ThreadPool pool(static_cast<unsigned>(pool_size));
+  Database db(ClusterConfig::small_local(1.0), &pool);
+  db.create_table("f", edge_double_fact(600));
+
+  Table expected = db.run_reference(sql);
+  // NULL, -inf, ±0.0, 1.5, +inf and NaN of either sign: six groups.
+  if (query_idx == 0) {
+    EXPECT_EQ(expected.row_count(), 6u);
+  }
+  const auto want = row_keys(expected, ordered);
+  for (const auto& profile :
+       {TranslatorProfile::ysmart(), TranslatorProfile::hive(),
+        TranslatorProfile::pig(), TranslatorProfile::mrshare()}) {
+    SCOPED_TRACE(profile.name);
+    auto run = db.run(sql, profile);
+    EXPECT_EQ(row_keys(*run.result, ordered), want)
+        << sql << "\nexpected:\n"
+        << expected.to_string(12) << "got:\n"
+        << run.result->to_string(12);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    QueriesAndPools, EdgeDoubleTest,
+    ::testing::Combine(::testing::Range(0, 7), ::testing::Values(1, 8)),
+    [](const ::testing::TestParamInfo<EdgeParam>& info) {
+      return "q" + std::to_string(std::get<0>(info.param)) + "_pool" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace ysmart

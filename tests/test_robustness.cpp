@@ -1,10 +1,12 @@
 // Robustness properties: the parser never crashes on malformed input,
-// Value ordering is a valid total order, makespan is monotone, the
-// engine's reduce-task accounting scales to large clusters, job failures
-// abort the DAG instead of feeding downstream jobs, total task failure
-// terminates, engine results are pool-size invariant, and explain output
-// is stable.
+// Value ordering is a valid total order (NaN, ±0.0 and ±inf included),
+// makespan is monotone, the engine's reduce-task accounting scales to
+// large clusters, job failures abort the DAG instead of feeding
+// downstream jobs, total task failure terminates, engine results are
+// pool-size invariant, and explain output is stable.
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "api/database.h"
 #include "common/error.h"
@@ -58,14 +60,23 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzTest,
 // ---- Value::compare is a total order ----
 
 TEST(ValueOrdering, TransitiveAntisymmetricOverRandomValues) {
+  // Every numeric edge value once — NaN of either sign, both zeros, both
+  // infinities, the int64 extremes and an int64 beyond 2^53 — then
+  // random draws around them.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Value> vals = {
+      Value{nan},  Value{-nan}, Value{0.0},  Value{-0.0}, Value{inf},
+      Value{-inf}, Value{std::numeric_limits<std::int64_t>::min()},
+      Value{std::numeric_limits<std::int64_t>::max()},
+      Value{(std::int64_t{1} << 53) + 1}};
   Rng rng(5);
-  std::vector<Value> vals;
   for (int i = 0; i < 60; ++i) {
     switch (rng.uniform(0, 3)) {
-      case 0: vals.push_back(Value::null()); break;
-      case 1: vals.push_back(Value{rng.uniform(-5, 5)}); break;
-      case 2: vals.push_back(Value{rng.uniform(-5, 5) / 2.0}); break;
-      default: vals.push_back(Value{rng.ident(2)}); break;
+      case 0: vals.emplace_back(); break;
+      case 1: vals.emplace_back(rng.uniform(-5, 5)); break;
+      case 2: vals.emplace_back(rng.uniform(-5, 5) / 2.0); break;
+      default: vals.emplace_back(rng.ident(2)); break;
     }
   }
   for (const auto& a : vals) {

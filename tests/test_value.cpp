@@ -1,6 +1,8 @@
 // Unit tests for Value / Row: typing, ordering, hashing, encoding.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/error.h"
 #include "common/value.h"
 
@@ -45,6 +47,16 @@ TEST(Value, CrossNumericComparison) {
   EXPECT_EQ(Value{1}.compare(Value{1.0}), std::strong_ordering::equal);
   EXPECT_TRUE(Value{1}.compare(Value{1.5}) < 0);
   EXPECT_TRUE(Value{2}.compare(Value{1.5}) > 0);
+  // compare_double's order: -0.0 = +0.0, NaN = NaN (either sign), and
+  // NaN above +inf and above every int.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Value{-0.0}.compare(Value{0}), std::strong_ordering::equal);
+  EXPECT_EQ(Value{nan}.compare(Value{-nan}), std::strong_ordering::equal);
+  EXPECT_TRUE(Value{nan}.compare(Value{inf}) > 0);
+  EXPECT_TRUE(Value{std::numeric_limits<std::int64_t>::max()}.compare(
+                  Value{nan}) < 0);
+  EXPECT_TRUE(Value{nan}.compare(Value{""}) < 0);
 }
 
 TEST(Value, NullSortsFirst) {
@@ -63,8 +75,12 @@ TEST(Value, StringOrdering) {
 }
 
 TEST(Value, HashConsistentWithEquality) {
-  // Ints and equal doubles must hash identically (they compare equal).
+  // Ints and equal doubles must hash identically (they compare equal),
+  // as must both zeros and every NaN payload.
   EXPECT_EQ(Value{7}.hash(), Value{7.0}.hash());
+  EXPECT_EQ(Value{0}.hash(), Value{-0.0}.hash());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Value{nan}.hash(), Value{-nan}.hash());
   EXPECT_EQ(Value{"s"}.hash(), Value{"s"}.hash());
 }
 
