@@ -2,6 +2,11 @@
 // round trips, distinct handling.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "exec/aggregates.h"
 
@@ -79,6 +84,32 @@ TEST(AggState, MinMax) {
   }
   EXPECT_EQ(mn.result().as_int(), -2);
   EXPECT_EQ(mx.result().as_int(), 9);
+}
+
+// The sign of a NaN sum depends on operand order (x86 gives inf + -inf
+// the sign bit), and MIN/MAX keep the first of tied NaNs: every NaN an
+// aggregate returns, or a SUM partial carries, is the one quiet NaN.
+TEST(AggState, NanResultsAreTheOneQuietNan) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto positive_nan = [](const Value& v) {
+    return v.type() == ValueType::Double && std::isnan(v.as_double()) &&
+           !std::signbit(v.as_double());
+  };
+  const std::pair<const char*, std::vector<double>> cases[] = {
+      {"sum", {inf, -inf}}, {"avg", {inf, -inf}},
+      {"min", {-nan, nan}}, {"max", {-nan, nan}}};
+  for (const auto& [func, inputs] : cases) {
+    AggState st(call(func));
+    for (double d : inputs) st.add(Value{d});
+    EXPECT_TRUE(positive_nan(st.result())) << func << ": " << st.result().to_string();
+  }
+  AggState sum(call("sum"));
+  sum.add(Value{inf});
+  sum.add(Value{-inf});
+  Row partial;
+  sum.to_partial(partial);
+  EXPECT_TRUE(positive_nan(partial[0]));
 }
 
 TEST(AggState, MinMaxStrings) {
